@@ -4,10 +4,12 @@
 standardization, the correlation summary (total correlation, effective
 sample size), the three order-sensitive permutation tests, the
 eigenratio statistic against both simulated nulls, an optional
-two-group bilinear test and the FDR outlier scan.  A single seed fans
-out to per-stage substreams (the stage name is CRC-hashed into the
-stream id) so each stage reproduces independently of which other stages
-run.
+two-group bilinear test and the FDR outlier scan.  ``prepare``
+standardizes the input once, and each test is a stage function of that
+``Prepared`` input; the CLI subcommands call the same stages.  A single
+seed fans out to per-stage substreams (the stage name is CRC-hashed
+into the stream id) so each stage reproduces independently of which
+other stages run, and a subcommand matches the audit entry it shares.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import time
 import warnings
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +28,14 @@ from ._version import __version__
 from .correlation import CorrelationReport, correlation_report
 from .errors import ColindepError, InvalidInput
 from .fdr import OutlierReport, scan_column_pairs
-from .matrix import DataMatrix, StandardizeInfo, demean, double_standardize, spectral
+from .matrix import (
+    DataMatrix,
+    SpectralSummary,
+    StandardizeInfo,
+    demean,
+    double_standardize,
+    spectral,
+)
 from .normal import (
     SimulationSpec,
     bilinear_test,
@@ -34,7 +44,7 @@ from .normal import (
     eigenratio_null,
     two_sample_w,
 )
-from .permutation import TestResult, perm_pvalue
+from .permutation import mc_pvalue, perm_pvalue
 
 _PERM_STATS = ("block", "trend", "trace")
 
@@ -66,23 +76,7 @@ class AuditConfig:
     calib_reps: int = 4
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "L": self.L,
-            "eigen_reps": self.eigen_reps,
-            "q": self.q,
-            "min_block": self.min_block,
-            "max_block": self.max_block,
-            "pair_sample": self.pair_sample,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "estimator": self.estimator,
-            "fdr_null": self.fdr_null,
-            "bilinear": self.bilinear,
-            "sim_m": self.sim_m,
-            "sim_blocks": self.sim_blocks,
-            "calib_reps": self.calib_reps,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -111,11 +105,7 @@ class AuditReport:
             "version": self.version,
             "input": {"m": self.m, "n": self.n, "groups": group_summary},
             "config": self.config.to_dict(),
-            "standardization": {
-                "iterations": self.standardization.iterations,
-                "max_deviation": self.standardization.max_deviation,
-                "order": self.standardization.order,
-            },
+            "standardization": asdict(self.standardization),
             "correlation": self.correlation.to_dict(),
             "tests": self.tests,
             "outliers": self.outliers.to_dict(include_pairs) if self.outliers else None,
@@ -132,15 +122,146 @@ class AuditReport:
         )
 
 
-def _group_sizes(groups: list[str]) -> tuple[int, int]:
+@dataclass
+class Prepared:
+    """One standardized input and the summaries its stages share.
+
+    ``z`` and ``info`` come from demeaning and double standardization,
+    done once in ``prepare``.  ``spectrum`` (one SVD of ``z``) and
+    ``corr`` (which reuses it) are computed on first use, so a stage
+    that needs neither, such as the trace permutation test, costs no SVD
+    and no pair sampling.
+    """
+
+    z: DataMatrix
+    info: StandardizeInfo
+    config: AuditConfig
+
+    @cached_property
+    def spectrum(self) -> SpectralSummary:
+        return spectral(self.z)
+
+    @cached_property
+    def corr(self) -> CorrelationReport:
+        cfg = self.config
+        return correlation_report(
+            self.z,
+            pair_count=cfg.pair_sample,
+            seed=stage_seed(cfg.seed, "correlation"),
+            estimator=cfg.estimator,
+            spectrum=self.spectrum,
+        )
+
+
+def prepare(x: DataMatrix, config: AuditConfig) -> Prepared:
+    """Demean and doubly standardize ``x`` for the stages below."""
+    z, info = double_standardize(demean(x), max_iter=config.max_iter, tol=config.tol)
+    return Prepared(z, info, config)
+
+
+def perm_stage(ctx: Prepared, stat: str, conservative: bool = False) -> tuple[dict, np.ndarray]:
+    """Permutation test ``perm_<stat>``: its report entry and null sample."""
+    cfg = ctx.config
+    res = perm_pvalue(
+        ctx.z,
+        stat,
+        L=cfg.L,
+        seed=stage_seed(cfg.seed, f"perm_{stat}"),
+        min_len=cfg.min_block,
+        max_len=cfg.max_block,
+        conservative=conservative,
+        spectrum=None if stat == "trace" else ctx.spectrum,
+    )
+    return res.to_dict(), res.null_samples
+
+
+def eigenratio_stage(
+    ctx: Prepared, null: str, gamma: float | None = None
+) -> tuple[dict, np.ndarray]:
+    """Eigenratio test against the ``"wishart"`` or ``"blocks"`` null.
+
+    The blocks null simulates the block model with effect size
+    ``gamma``; when it is None, gamma is calibrated so the simulated
+    alpha matches the data's alpha_hat.
+    """
+    cfg, z = ctx.config, ctx.z
+    stage = f"eigenratio_{null}"
+    seed = stage_seed(cfg.seed, stage)
+    if null == "wishart":
+        extra = {"df": ctx.corr.m_tilde}
+        nulls = eigenratio_null("wishart", cfg.eigen_reps, z.n, seed, df=ctx.corr.m_tilde)
+    elif null == "blocks":
+        sim_m = min(z.m, cfg.sim_m)
+        if gamma is None:
+            alpha = float(np.sqrt(ctx.corr.alpha_hat_sq))
+            gamma = 0.0
+            if alpha > 0.005:
+                gamma = calibrate_gamma(
+                    alpha,
+                    m=sim_m,
+                    n=z.n,
+                    num_blocks=cfg.sim_blocks,
+                    reps=cfg.calib_reps,
+                    seed=stage_seed(cfg.seed, "calibrate"),
+                )
+        extra = {"gamma": gamma, "sim_m": sim_m}
+        spec = SimulationSpec(
+            m=sim_m, n=z.n, sigma_model="block", num_blocks=cfg.sim_blocks, gamma=gamma
+        )
+        nulls = eigenratio_null("correlated_rows", cfg.eigen_reps, z.n, seed, spec=spec)
+    else:
+        raise InvalidInput("eigenratio null must be 'wishart' or 'blocks'")
+    s_obs = eigenratio(ctx.spectrum)
+    p, exceed = mc_pvalue(nulls, s_obs)
+    entry = {
+        "method": stage,
+        "statistic": s_obs,
+        "p_value": p,
+        "L": int(nulls.size),
+        "exceed_count": exceed,
+        "seed": seed,
+        **extra,
+    }
+    return entry, nulls
+
+
+def two_group_contrast(groups: list[str] | None) -> tuple[np.ndarray, int, int]:
+    """Unit-norm contrast ``w`` and group sizes for two contiguous groups.
+
+    The labels must name exactly two groups, all of group one's columns
+    first, then group two's.
+    """
+    if groups is None:
+        raise InvalidInput("bilinear test needs group labels")
     names = sorted(set(groups), key=groups.index)
     if len(names) != 2:
         raise InvalidInput(f"bilinear test needs exactly 2 groups, got {len(names)}")
-    counts = [groups.count(name) for name in names]
-    # the contrast assumes group one occupies the leading columns
-    if groups != [names[0]] * counts[0] + [names[1]] * counts[1]:
+    n1, n2 = groups.count(names[0]), groups.count(names[1])
+    if groups != [names[0]] * n1 + [names[1]] * n2:
         raise InvalidInput("group labels must be contiguous: group one first, then group two")
-    return counts[0], counts[1]
+    return two_sample_w(n1, n2), n1, n2
+
+
+def bilinear_stage(ctx: Prepared, groups: list[str] | None) -> dict:
+    """Two-group bilinear test: its report entry."""
+    w, n1, n2 = two_group_contrast(groups)
+    entry = bilinear_test(ctx.z, w, ctx.corr.m_tilde).to_dict()
+    entry["n1"], entry["n2"] = n1, n2
+    return entry
+
+
+def fdr_stage(ctx: Prepared, m_tilde: float | None = None, two_sided: bool = False) -> OutlierReport:
+    """FDR scan of the column pairs under ``config.fdr_null``.
+
+    ``m_tilde`` defaults to the effective sample size of the input.
+    """
+    cfg = ctx.config
+    if m_tilde is None:
+        m_tilde = ctx.corr.m_tilde
+    gauss = {}
+    if cfg.fdr_null == "gaussian":
+        gauss = {"gauss_mu": ctx.corr.mu_hat, "gauss_sd": float(np.sqrt(ctx.corr.alpha_hat_sq)) or 1e-12}
+    return scan_column_pairs(ctx.z, m_tilde, cfg.q, cfg.fdr_null, two_sided=two_sided, **gauss)
 
 
 def audit(x: DataMatrix, config: AuditConfig | None = None, groups: list[str] | None = None) -> AuditReport:
@@ -157,149 +278,51 @@ def audit(x: DataMatrix, config: AuditConfig | None = None, groups: list[str] | 
     report_warnings: list[str] = []
     errors: dict[str, str] = {}
     timings: dict[str, float] = {}
+    tests: list[dict] = []
+    outliers: OutlierReport | None = None
 
     @contextmanager
-    def timed(stage: str):
+    def stage(name: str, recoverable: bool = True):
         t0 = time.perf_counter()
         try:
             yield
+        except ColindepError as exc:
+            if not recoverable:
+                raise
+            errors[name] = str(exc)
         finally:
-            timings[stage] = time.perf_counter() - t0
+            timings[name] = time.perf_counter() - t0
 
-    with timed("standardize"):
-        z, info = double_standardize(demean(x), max_iter=cfg.max_iter, tol=cfg.tol)
-
-    with timed("correlation"):
-        spectrum = spectral(z)
-        corr = correlation_report(
-            z,
-            pair_count=cfg.pair_sample,
-            seed=stage_seed(cfg.seed, "correlation"),
-            estimator=cfg.estimator,
-            spectrum=spectrum,
-        )
+    with stage("standardize", recoverable=False):
+        ctx = prepare(x, cfg)
+    with stage("correlation", recoverable=False):
+        corr = ctx.corr
     if corr.mean_shift_flag:
         report_warnings.append(
             "sampled row correlations are far from centered; "
             "noise-corrected alpha estimates may be off"
         )
 
-    tests: list[dict] = []
     for stat in _PERM_STATS:
-        stage = f"perm_{stat}"
-        with timed(stage):
-            try:
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    res: TestResult = perm_pvalue(
-                        z,
-                        stat,
-                        L=cfg.L,
-                        seed=stage_seed(cfg.seed, stage),
-                        min_len=cfg.min_block,
-                        max_len=cfg.max_block,
-                    )
-                for w in caught:
-                    report_warnings.append(f"{stage}: {w.message}")
-                tests.append(res.to_dict())
-            except ColindepError as exc:
-                errors[stage] = str(exc)
-
-    s_obs = eigenratio(spectrum)
-    with timed("eigenratio_wishart"):
-        try:
-            seed = stage_seed(cfg.seed, "eigenratio_wishart")
-            nulls = eigenratio_null(
-                "wishart", reps=cfg.eigen_reps, n=z.n, seed=seed, df=corr.m_tilde
-            )
-            exceed = int(np.sum(nulls >= s_obs))
-            tests.append(
-                {
-                    "method": "eigenratio_wishart",
-                    "statistic": s_obs,
-                    "p_value": exceed / nulls.size,
-                    "L": int(nulls.size),
-                    "exceed_count": exceed,
-                    "seed": seed,
-                    "df": corr.m_tilde,
-                }
-            )
-        except ColindepError as exc:
-            errors["eigenratio_wishart"] = str(exc)
-
-    with timed("eigenratio_blocks"):
-        try:
-            alpha = float(np.sqrt(corr.alpha_hat_sq))
-            sim_m = min(z.m, cfg.sim_m)
-            if alpha > 0.005:
-                gamma = calibrate_gamma(
-                    alpha,
-                    m=sim_m,
-                    n=z.n,
-                    num_blocks=cfg.sim_blocks,
-                    reps=cfg.calib_reps,
-                    seed=stage_seed(cfg.seed, "calibrate"),
-                )
-            else:
-                gamma = 0.0
-            seed = stage_seed(cfg.seed, "eigenratio_blocks")
-            spec = SimulationSpec(
-                m=sim_m, n=z.n, sigma_model="block",
-                num_blocks=cfg.sim_blocks, gamma=gamma,
-            )
-            nulls = eigenratio_null(
-                "correlated_rows", reps=cfg.eigen_reps, n=z.n, seed=seed, spec=spec
-            )
-            exceed = int(np.sum(nulls >= s_obs))
-            tests.append(
-                {
-                    "method": "eigenratio_blocks",
-                    "statistic": s_obs,
-                    "p_value": exceed / nulls.size,
-                    "L": int(nulls.size),
-                    "exceed_count": exceed,
-                    "seed": seed,
-                    "gamma": gamma,
-                    "sim_m": sim_m,
-                }
-            )
-        except ColindepError as exc:
-            errors["eigenratio_blocks"] = str(exc)
-
-    run_bilinear = cfg.bilinear if cfg.bilinear is not None else groups is not None
-    if run_bilinear:
-        with timed("bilinear"):
-            try:
-                n1, n2 = _group_sizes(groups)
-                res = bilinear_test(z, two_sample_w(n1, n2), corr.m_tilde)
-                entry = res.to_dict()
-                entry["n1"], entry["n2"] = n1, n2
-                tests.append(entry)
-            except ColindepError as exc:
-                errors["bilinear"] = str(exc)
-
-    outliers: OutlierReport | None = None
-    with timed("fdr"):
-        try:
-            if cfg.fdr_null == "gaussian":
-                outliers = scan_column_pairs(
-                    z,
-                    corr.m_tilde,
-                    cfg.q,
-                    null_model="gaussian",
-                    gauss_mu=corr.mu_hat,
-                    gauss_sd=float(np.sqrt(corr.alpha_hat_sq)) or 1e-12,
-                )
-            else:
-                outliers = scan_column_pairs(z, corr.m_tilde, cfg.q, null_model="correlation")
-        except ColindepError as exc:
-            errors["fdr"] = str(exc)
+        name = f"perm_{stat}"
+        with stage(name), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tests.append(perm_stage(ctx, stat)[0])
+            report_warnings.extend(f"{name}: {w.message}" for w in caught)
+    for null in ("wishart", "blocks"):
+        with stage(f"eigenratio_{null}"):
+            tests.append(eigenratio_stage(ctx, null)[0])
+    if cfg.bilinear if cfg.bilinear is not None else groups is not None:
+        with stage("bilinear"):
+            tests.append(bilinear_stage(ctx, groups))
+    with stage("fdr"):
+        outliers = fdr_stage(ctx)
 
     return AuditReport(
         m=x.m,
         n=x.n,
         groups=groups,
-        standardization=info,
+        standardization=ctx.info,
         correlation=corr,
         tests=tests,
         outliers=outliers,

@@ -13,13 +13,23 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
-from .audit import AuditConfig, audit, emit, stage_seed
-from .correlation import correlation_report
+from .audit import (
+    AuditConfig,
+    Prepared,
+    audit,
+    bilinear_stage,
+    eigenratio_stage,
+    emit,
+    fdr_stage,
+    perm_stage,
+    prepare,
+)
 from .errors import (
     CalibrationFailure,
     InvalidInput,
@@ -27,19 +37,9 @@ from .errors import (
     NumericalError,
     ParseError,
 )
-from .fdr import scan_column_pairs
 from .io import ParseOptions, ingest, write_matrix
-from .matrix import demean, double_standardize, spectral
-from .normal import (
-    SimulationSpec,
-    bilinear_test,
-    eigenratio,
-    eigenratio_null,
-    sample_matrix_normal,
-    sample_wishart,
-    two_sample_w,
-)
-from .permutation import perm_pvalue
+from .matrix import double_standardize, spectral
+from .normal import SimulationSpec, sample_matrix_normal, sample_wishart
 
 _USAGE_ERRORS = (InvalidInput, ParseError)
 _NUMERICAL_ERRORS = (NonConvergence, NumericalError, CalibrationFailure, np.linalg.LinAlgError)
@@ -81,10 +81,11 @@ def _load(args) -> tuple:
     return ingest(args.input, opts)
 
 
-def _standardized(args):
+def _prepare(args, **config) -> tuple[Prepared, list[str] | None]:
+    """Load and standardize the input under the audit config the subcommand implies."""
     x, labels = _load(args)
-    z, info = double_standardize(demean(x), max_iter=args.max_iter, tol=args.tol)
-    return z, info, labels
+    cfg = AuditConfig(seed=args.seed, tol=args.tol, max_iter=args.max_iter, **config)
+    return prepare(x, cfg), labels
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -92,6 +93,13 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
         Path(out).write_text(text if text.endswith("\n") else text + "\n")
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _emit_dict(payload: dict, args) -> None:
@@ -102,117 +110,46 @@ def _emit_dict(payload: dict, args) -> None:
         _write_output("\n".join(lines), args.out)
 
 
+def _emit_test(entry: dict, nulls: np.ndarray, args) -> int:
+    if args.null_out:
+        _write_csv(args.null_out, ["null_sample"], ([repr(float(v))] for v in nulls))
+    _emit_dict(entry, args)
+    return 0
+
+
 def _cmd_standardize(args) -> int:
-    z, info, _ = _standardized(args)
+    ctx, _ = _prepare(args)
     if args.matrix_out:
-        write_matrix(args.matrix_out, z)
-    payload = {
-        "m": z.m,
-        "n": z.n,
-        "iterations": info.iterations,
-        "max_deviation": info.max_deviation,
-        "order": info.order,
-        "matrix_out": args.matrix_out,
-    }
-    _emit_dict(payload, args)
+        write_matrix(args.matrix_out, ctx.z)
+    _emit_dict({"m": ctx.z.m, "n": ctx.z.n, **asdict(ctx.info), "matrix_out": args.matrix_out}, args)
     return 0
 
 
 def _cmd_permtest(args) -> int:
-    z, _, _ = _standardized(args)
-    res = perm_pvalue(
-        z,
-        args.stat,
-        L=args.L,
-        seed=args.seed,
-        min_len=args.min_block,
-        max_len=args.max_block,
-        conservative=args.conservative,
-    )
-    if args.null_out:
-        with open(args.null_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["null_sample"])
-            for v in res.null_samples:
-                writer.writerow([repr(float(v))])
-    _emit_dict(res.to_dict(), args)
-    return 0
+    ctx, _ = _prepare(args, L=args.L, min_block=args.min_block, max_block=args.max_block)
+    return _emit_test(*perm_stage(ctx, args.stat, conservative=args.conservative), args)
 
 
 def _cmd_eigenratio(args) -> int:
-    z, _, _ = _standardized(args)
-    spectrum = spectral(z)
-    s_obs = eigenratio(spectrum)
-    report = correlation_report(z, seed=stage_seed(args.seed, "correlation"))
-    if args.null == "wishart":
-        nulls = eigenratio_null("wishart", args.reps, z.n, args.seed, df=report.m_tilde)
-        extra = {"df": report.m_tilde}
-    else:
-        spec = SimulationSpec(
-            m=min(z.m, args.sim_m), n=z.n, sigma_model="block",
-            num_blocks=args.blocks, gamma=args.gamma,
-        )
-        nulls = eigenratio_null("correlated_rows", args.reps, z.n, args.seed, spec=spec)
-        extra = {"gamma": args.gamma, "sim_m": spec.m}
-    exceed = int(np.sum(nulls >= s_obs))
-    payload = {
-        "method": f"eigenratio_{args.null}",
-        "statistic": s_obs,
-        "p_value": exceed / nulls.size,
-        "L": int(nulls.size),
-        "exceed_count": exceed,
-        "seed": args.seed,
-        **extra,
-    }
-    if args.null_out:
-        with open(args.null_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["null_sample"])
-            for v in nulls:
-                writer.writerow([repr(float(v))])
-    _emit_dict(payload, args)
-    return 0
+    ctx, _ = _prepare(args, eigen_reps=args.reps, sim_m=args.sim_m, sim_blocks=args.blocks)
+    return _emit_test(*eigenratio_stage(ctx, args.null, gamma=args.gamma), args)
 
 
 def _cmd_bilinear(args) -> int:
-    z, _, labels = _standardized(args)
-    if labels is None:
-        raise InvalidInput("bilinear needs group labels (--groups n1,n2 or --groups-file)")
-    names = sorted(set(labels), key=labels.index)
-    if len(names) != 2:
-        raise InvalidInput(f"bilinear needs exactly two groups, got {len(names)}")
-    n1, n2 = labels.count(names[0]), labels.count(names[1])
-    report = correlation_report(z, seed=stage_seed(args.seed, "correlation"))
-    res = bilinear_test(z, two_sample_w(n1, n2), report.m_tilde)
-    payload = res.to_dict()
-    payload["n1"], payload["n2"] = n1, n2
-    _emit_dict(payload, args)
+    ctx, labels = _prepare(args)
+    _emit_dict(bilinear_stage(ctx, labels), args)
     return 0
 
 
 def _cmd_fdr_scan(args) -> int:
-    z, _, _ = _standardized(args)
-    report = correlation_report(z, seed=stage_seed(args.seed, "correlation"))
-    m_tilde = report.m_tilde if args.mtilde == "auto" else float(args.mtilde)
-    if args.null == "corr":
-        out = scan_column_pairs(z, m_tilde, args.q, "correlation", two_sided=args.two_sided)
-    else:
-        out = scan_column_pairs(
-            z,
-            m_tilde,
-            args.q,
-            "gaussian",
-            gauss_mu=report.mu_hat,
-            gauss_sd=float(np.sqrt(report.alpha_hat_sq)) or 1e-12,
-            two_sided=args.two_sided,
-        )
+    null = {"corr": "correlation", "gauss": "gaussian"}[args.null]
+    ctx, _ = _prepare(args, q=args.q, fdr_null=null)
+    m_tilde = None if args.mtilde == "auto" else float(args.mtilde)
+    out = fdr_stage(ctx, m_tilde, two_sided=args.two_sided)
     if args.hist_out:
         counts, edges = np.histogram(out.r, bins=args.bins, range=(-1.0, 1.0))
-        with open(args.hist_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_left", "bin_right", "count"])
-            for k in range(counts.size):
-                writer.writerow([repr(float(edges[k])), repr(float(edges[k + 1])), int(counts[k])])
+        rows = zip(map(repr, edges[:-1].tolist()), map(repr, edges[1:].tolist()), counts.tolist())
+        _write_csv(args.hist_out, ["bin_left", "bin_right", "count"], rows)
     _emit_dict(out.to_dict(include_pairs=args.format == "json"), args)
     return 0
 
@@ -249,11 +186,7 @@ def _cmd_simulate(args) -> int:
             e = s.eigenvalues
             c2 = float(np.sum(e * e) / (z.m * z.n) ** 2)
             rows.append([float(e[0] / e.sum()), c2, float(e.sum() / z.m)])
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eigenratio", "c2", "trace"])
-        for row in rows:
-            writer.writerow([repr(v) for v in row])
+    _write_csv(args.out, ["eigenratio", "c2", "trace"], ([repr(v) for v in row] for row in rows))
     sys.stdout.write(f"wrote {len(rows)} replicates to {args.out}\n")
     return 0
 

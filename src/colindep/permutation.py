@@ -147,6 +147,23 @@ def trace_statistic(delta_hat: np.ndarray, basis: BlockBasis) -> float:
     return float(np.sum(d * basis.B))
 
 
+def mc_pvalue(nulls: np.ndarray, s_obs: float, conservative: bool = False) -> tuple[float, int]:
+    """Monte Carlo tail p-value of ``s_obs`` against simulated null draws.
+
+    Returns ``(p, exceed_count)``: the fraction of draws at least as
+    large as ``s_obs``, or (count+1)/(L+1) when ``conservative``.  Ties
+    count as exceedances; the epsilon keeps exact mathematical ties
+    counted when reordered float sums differ in the last ulp, e.g.
+    permutations of a constant eigenvector.
+    """
+    nulls = np.asarray(nulls, dtype=float)
+    tie_eps = 1e-12 * max(1.0, abs(s_obs))
+    exceed = int(np.sum(nulls >= s_obs - tie_eps))
+    if conservative:
+        return (exceed + 1) / (nulls.size + 1), exceed
+    return exceed / nulls.size, exceed
+
+
 def _null_rng(seed: int, replicate: int) -> np.random.Generator:
     # substream per replicate: results do not depend on evaluation order
     return np.random.default_rng(np.random.SeedSequence((seed, replicate)))
@@ -161,6 +178,7 @@ def perm_pvalue(
     max_len: int = 10,
     conservative: bool = False,
     exhaustive: bool = False,
+    spectrum: SpectralSummary | None = None,
 ) -> TestResult:
     """Permutation p-value for one of the order-sensitive statistics.
 
@@ -173,6 +191,8 @@ def perm_pvalue(
 
     ``exhaustive=True`` replaces sampling with all n! permutations
     (allowed only for n <= 8) and returns the exact tail fraction.
+    ``spectrum`` is a precomputed ``spectral(x)``, reused for the first
+    eigenvector instead of a fresh SVD.
     """
     if statistic not in _STATISTICS:
         raise InvalidInput(f"statistic must be one of {_STATISTICS}")
@@ -193,7 +213,7 @@ def perm_pvalue(
             return trace_statistic(delta_hat[np.ix_(perm, perm)], basis)
 
     else:
-        v1 = first_eigvec(spectral(x))
+        v1 = first_eigvec(spectrum if spectrum is not None else spectral(x))
         if statistic == "block":
             basis = block_basis(n, min_len, max_len)
 
@@ -221,20 +241,12 @@ def perm_pvalue(
         for rep in range(L):
             rng = _null_rng(seed, rep)
             nulls[rep] = permuted(rng.permutation(n))
-    # ties count as exceedances (conservative); the epsilon keeps exact
-    # mathematical ties counted when reordered float sums differ in the
-    # last ulp, e.g. permutations of a constant eigenvector
-    tie_eps = 1e-12 * max(1.0, abs(s_obs))
-    exceed = int(np.sum(nulls >= s_obs - tie_eps))
-    if conservative:
-        p = (exceed + 1) / (nulls.size + 1)
-    else:
-        p = exceed / nulls.size
+    p, exceed = mc_pvalue(nulls, s_obs, conservative)
     method = f"perm_{statistic}" + ("_exhaustive" if exhaustive else "")
     return TestResult(
         statistic=s_obs,
         null_samples=nulls,
-        p_value=float(p),
+        p_value=p,
         method=method,
         seed=seed,
         exceed_count=exceed,

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 
 import numpy as np
@@ -263,3 +264,77 @@ class TestCli:
         before = open(matrix_file, "rb").read()
         main(["permtest", matrix_file, "--stat", "trend", "--L", "50", "--seed", "1"])
         assert open(matrix_file, "rb").read() == before
+
+
+def _run_json(argv, out) -> dict:
+    assert main([*argv, "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+class TestSubcommandsMatchAudit:
+    """Each subcommand runs the audit's stage with its stage seed."""
+
+    def test_payloads_equal_audit_entries(self, matrix_file, tmp_path):
+        out = tmp_path / "res.json"
+        common = [matrix_file, "--seed", "7"]
+        report = _run_json(["audit", *common, "--L", "120", "--reps", "15", "--groups", "5,5"], out)
+        assert report["errors"] == {}
+        entries = {t["method"]: t for t in report["tests"]}
+        for stat in ("block", "trend", "trace"):
+            payload = _run_json(["permtest", *common, "--stat", stat, "--L", "120"], out)
+            assert payload == entries[f"perm_{stat}"]
+        payload = _run_json(["eigenratio-test", *common, "--null", "wishart", "--reps", "15"], out)
+        assert payload == entries["eigenratio_wishart"]
+        gamma = repr(entries["eigenratio_blocks"]["gamma"])
+        payload = _run_json(
+            ["eigenratio-test", *common, "--null", "blocks", "--reps", "15", "--gamma", gamma], out
+        )
+        assert payload == entries["eigenratio_blocks"]
+        assert _run_json(["bilinear", *common, "--groups", "5,5"], out) == entries["bilinear"]
+        assert _run_json(["fdr-scan", *common], out) == report["outliers"]
+
+    def test_interleaved_groups_rejected_like_audit(self, matrix_file, tmp_path, capsys):
+        groups = tmp_path / "groups.txt"
+        groups.write_text("a\nb\n" * 5)
+        report = _run_json(
+            ["audit", matrix_file, "--L", "50", "--reps", "10", "--groups-file", str(groups)],
+            tmp_path / "audit.json",
+        )
+        message = report["errors"]["bilinear"]
+        assert "contiguous" in message
+        capsys.readouterr()
+        assert main(["bilinear", matrix_file, "--groups-file", str(groups)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.fixture
+def spectral_calls(monkeypatch):
+    """Count SVDs of the standardized input, wherever the pipeline asks for one."""
+    from colindep.matrix import spectral
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return spectral(*args, **kwargs)
+
+    # the attribute colindep.audit is the function, so look the modules up by name
+    for name in ("audit", "cli", "correlation", "permutation"):
+        monkeypatch.setattr(importlib.import_module(f"colindep.{name}"), "spectral", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, svds",
+    [
+        (["audit", "--L", "40", "--reps", "8", "--groups", "5,5"], 1),
+        (["eigenratio-test", "--null", "wishart", "--reps", "8"], 1),
+        (["permtest", "--stat", "block", "--L", "40"], 1),
+        (["permtest", "--stat", "trace", "--L", "40"], 0),
+        (["bilinear", "--groups", "5,5"], 1),
+        (["fdr-scan"], 1),
+    ],
+)
+def test_one_svd_per_call(matrix_file, tmp_path, spectral_calls, argv, svds):
+    assert main([argv[0], matrix_file, *argv[1:], "--out", str(tmp_path / "res.json")]) == 0
+    assert spectral_calls == [(80, 10)] * svds

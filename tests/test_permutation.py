@@ -12,6 +12,7 @@ from colindep import (
     demean,
     double_standardize,
     first_eigvec,
+    mc_pvalue,
     perm_pvalue,
     spectral,
     trace_statistic,
@@ -271,3 +272,31 @@ class TestPermPvalue:
         assert res.statistic == pytest.approx(trace_statistic(delta_hat, basis))
         # null samples differ from the observed statistic in general
         assert np.std(res.null_samples) > 0
+
+    def test_precomputed_spectrum_gives_same_result(self):
+        rng = np.random.default_rng(80)
+        x = demean(DataMatrix(rng.standard_normal((30, 9))))
+        for stat in ("block", "trend"):
+            fresh = perm_pvalue(x, stat, L=80, seed=6)
+            reused = perm_pvalue(x, stat, L=80, seed=6, spectrum=spectral(x))
+            assert reused.to_dict(include_null=True) == fresh.to_dict(include_null=True)
+
+
+class TestMcPvalue:
+    def test_last_ulp_tie_counts_as_exceedance(self):
+        s_obs = 0.7
+        nulls = np.array([np.nextafter(s_obs, 0.0), 0.1, 0.9])
+        _, exceed = mc_pvalue(nulls, s_obs)
+        assert exceed == 2
+
+    def test_p_is_exceed_fraction(self):
+        nulls = np.arange(20.0)
+        p, exceed = mc_pvalue(nulls, 14.5)
+        assert exceed == 5
+        assert p == exceed / 20
+
+    def test_conservative_adds_one(self):
+        nulls = np.arange(20.0)
+        p, exceed = mc_pvalue(nulls, 14.5, conservative=True)
+        assert exceed == 5
+        assert p == (exceed + 1) / 21
