@@ -30,6 +30,7 @@ from .audit import (
     perm_stage,
     prepare,
 )
+from .correlation import c2_from_spectrum
 from .errors import (
     CalibrationFailure,
     InvalidInput,
@@ -39,23 +40,30 @@ from .errors import (
 )
 from .io import ParseOptions, ingest, write_matrix
 from .matrix import double_standardize, spectral
-from .normal import SimulationSpec, sample_matrix_normal, sample_wishart
+from .normal import SimulationSpec, eigenratio, sample_matrix_normal, sample_wishart
 
 _USAGE_ERRORS = (InvalidInput, ParseError)
 _NUMERICAL_ERRORS = (NonConvergence, NumericalError, CalibrationFailure, np.linalg.LinAlgError)
 
 
 def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
+    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    p.add_argument("--out", default=None, help="write the report here instead of stdout")
     if needs_input:
         p.add_argument("input", help="CSV/TSV matrix, rows = features, columns = samples")
         p.add_argument("--delimiter", default=None, help="field delimiter (default: by extension)")
         p.add_argument("--header", choices=["auto", "yes", "no"], default="auto")
         p.add_argument("--row-ids", choices=["auto", "yes", "no"], default="auto")
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    p.add_argument("--out", default=None, help="write the report here instead of stdout")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--tol", type=float, default=1e-8, help="standardization tolerance")
-    p.add_argument("--max-iter", type=int, default=50, help="standardization sweep cap")
+        p.add_argument("--format", choices=["json", "text"], default="json")
+        p.add_argument("--tol", type=float, default=1e-8, help="standardization tolerance")
+        p.add_argument("--max-iter", type=int, default=50, help="standardization sweep cap")
+
+
+def _mtilde(arg: str) -> float | None:
+    try:
+        return None if arg == "auto" else float(arg)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {arg!r}") from None
 
 
 def _parse_groups(arg: str | None) -> tuple[int, ...] | None:
@@ -144,8 +152,7 @@ def _cmd_bilinear(args) -> int:
 def _cmd_fdr_scan(args) -> int:
     null = {"corr": "correlation", "gauss": "gaussian"}[args.null]
     ctx, _ = _prepare(args, q=args.q, fdr_null=null)
-    m_tilde = None if args.mtilde == "auto" else float(args.mtilde)
-    out = fdr_stage(ctx, m_tilde, two_sided=args.two_sided)
+    out = fdr_stage(ctx, args.mtilde, two_sided=args.two_sided)
     if args.hist_out:
         counts, edges = np.histogram(out.r, bins=args.bins, range=(-1.0, 1.0))
         rows = zip(map(repr, edges[:-1].tolist()), map(repr, edges[1:].tolist()), counts.tolist())
@@ -183,9 +190,8 @@ def _cmd_simulate(args) -> int:
             x = sample_matrix_normal(spec, rng)
             z, _ = double_standardize(x, max_iter=200)
             s = spectral(z)
-            e = s.eigenvalues
-            c2 = float(np.sum(e * e) / (z.m * z.n) ** 2)
-            rows.append([float(e[0] / e.sum()), c2, float(e.sum() / z.m)])
+            trace = float(s.eigenvalues.sum() / z.m)
+            rows.append([eigenratio(s), c2_from_spectrum(s, z.m, z.n), trace])
     _write_csv(args.out, ["eigenratio", "c2", "trace"], ([repr(v) for v in row] for row in rows))
     sys.stdout.write(f"wrote {len(rows)} replicates to {args.out}\n")
     return 0
@@ -253,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--q", type=float, default=0.1)
     p.add_argument("--null", choices=["corr", "gauss"], default="corr")
-    p.add_argument("--mtilde", default="auto", help="effective sample size, or 'auto'")
+    p.add_argument("--mtilde", type=_mtilde, default="auto", help="effective sample size, or 'auto'")
     p.add_argument("--two-sided", action="store_true")
     p.add_argument("--hist-out", default=None, help="write correlation histogram bins to CSV")
     p.add_argument("--bins", type=int, default=40)

@@ -23,22 +23,19 @@ _STATISTICS = ("block", "trend", "trace")
 
 @dataclass(frozen=True)
 class BlockBasis:
-    """Catalog of contiguous 0/1 block vectors and their summed outer product.
+    """Run lengths min_len..max_len of the 0/1 block vectors beta_h, B = sum_h beta_h beta_h'.
 
-    ``vectors`` stacks one row per block vector (1s forming a contiguous
-    run of length between ``min_len`` and ``max_len``); ``B`` is the
-    n-by-n matrix sum_h beta_h beta_h', so v'Bv = sum_h (beta_h'v)^2.
+    Neither the vectors nor B are stored: v'Bv and tr(delta_hat B) are
+    sums over runs, read off prefix sums.
     """
 
     n: int
     min_len: int
     max_len: int
-    vectors: np.ndarray
-    B: np.ndarray
 
     @property
     def size(self) -> int:
-        return int(self.vectors.shape[0])
+        return sum(self.n - length + 1 for length in range(self.min_len, self.max_len + 1))
 
 
 @dataclass(frozen=True)
@@ -71,9 +68,9 @@ class TestResult:
 
 
 def block_basis(n: int, min_len: int = 2, max_len: int = 10) -> BlockBasis:
-    """Enumerate all contiguous block vectors of length min_len..max_len.
+    """Block vectors of run length min_len..max_len over n components.
 
-    ``max_len`` is silently truncated to n so the catalog stays well
+    ``max_len`` is silently truncated to n so the basis stays well
     defined for short vectors; min_len below 2 or above n is an error.
     """
     if min_len < 2:
@@ -82,25 +79,23 @@ def block_basis(n: int, min_len: int = 2, max_len: int = 10) -> BlockBasis:
         raise InvalidInput("min_len must not exceed max_len")
     if min_len > n:
         raise InvalidInput(f"min_len={min_len} exceeds n={n}")
-    max_len = min(max_len, n)
-    rows = []
-    for length in range(min_len, max_len + 1):
-        for start in range(n - length + 1):
-            v = np.zeros(n)
-            v[start : start + length] = 1.0
-            rows.append(v)
-    vectors = np.array(rows)
-    return BlockBasis(n=n, min_len=min_len, max_len=max_len, vectors=vectors, B=vectors.T @ vectors)
+    return BlockBasis(n=n, min_len=min_len, max_len=min(max_len, n))
 
 
 def block_statistic(v: np.ndarray, basis: BlockBasis) -> float:
-    """Quadratic form v'Bv; large values mean runs of similar components."""
+    """Quadratic form v'Bv; large values mean runs of similar components.
+
+    v'Bv = sum_h (beta_h'v)^2, and each beta_h'v is a run sum
+    cs[s+len] - cs[s] of the cumulative sums cs of v.
+    """
     v = np.asarray(v, dtype=float)
     if v.shape != (basis.n,):
         raise InvalidInput(f"expected a vector of length {basis.n}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise InvalidInput("v must be finite")
-    return float(v @ basis.B @ v)
+    cs = np.concatenate(([0.0], np.cumsum(v)))
+    runs = (cs[length:] - cs[:-length] for length in range(basis.min_len, basis.max_len + 1))
+    return float(sum(r @ r for r in runs))
 
 
 def trend_statistic(v: np.ndarray) -> float:
@@ -138,13 +133,30 @@ def first_eigvec(s: SpectralSummary) -> np.ndarray:
     return v
 
 
+def _band(basis: BlockBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (rows, cols) = (i, i+d), d < max_len, of B's upper band, and their weights.
+
+    B_ij counts the runs holding both i and j: for a run of length len,
+    the starts max(0, j-len+1) <= s <= min(i, n-len).  Doubled off the
+    diagonal, tr(D B) = sum(D[rows, cols] * weights) for a symmetric D.
+    """
+    n = basis.n
+    d, i = np.nonzero(np.arange(basis.max_len)[:, None] + np.arange(n) < n)
+    j = i + d
+    lengths = np.arange(basis.min_len, basis.max_len + 1)[:, None]
+    runs = np.clip(np.minimum(i, n - lengths) - np.maximum(0, j - lengths + 1) + 1, 0, None)
+    return i, j, np.where(d == 0, 1.0, 2.0) * runs.sum(axis=0)
+
+
 def trace_statistic(delta_hat: np.ndarray, basis: BlockBasis) -> float:
-    """tr(delta_hat @ B): total block energy of a column covariance matrix."""
+    """tr(delta_hat @ B): total block energy of a symmetric column covariance matrix."""
     d = np.asarray(delta_hat, dtype=float)
     if d.shape != (basis.n, basis.n):
         raise InvalidInput(f"expected a {basis.n}x{basis.n} matrix, got {d.shape}")
-    # B is symmetric, so the trace reduces to an elementwise sum
-    return float(np.sum(d * basis.B))
+    if not np.allclose(d, d.T, rtol=0.0, atol=1e-8 * (np.abs(d).max() + 1.0)):
+        raise InvalidInput("delta_hat must be symmetric")
+    rows, cols, weights = _band(basis)
+    return float(d[rows, cols] @ weights)
 
 
 def mc_pvalue(nulls: np.ndarray, s_obs: float, conservative: bool = False) -> tuple[float, int]:
@@ -184,7 +196,7 @@ def perm_pvalue(
 
     ``statistic`` is ``"block"`` or ``"trend"`` (computed on the first
     eigenvector, whose components are permuted L times) or ``"trace"``
-    (tr of the column covariance against the block catalog, recomputed
+    (tr of the column covariance against the block runs, recomputed
     under column permutations of the data).  The p-value is the fraction
     of permuted statistics at least as large as the observed one;
     ``conservative=True`` uses (count+1)/(L+1) instead.
@@ -203,44 +215,24 @@ def perm_pvalue(
         raise InvalidInput("exhaustive enumeration is limited to n <= 8")
 
     if statistic == "trace":
-        basis = block_basis(n, min_len, max_len)
-        delta_hat = x.values.T @ x.values / x.m
+        delta_hat = x.values.T @ x.values
+        delta_hat /= x.m  # in place: one n-by-n array in all
+        rows, cols, weights = _band(block_basis(n, min_len, max_len))
 
-        def observed() -> float:
-            return trace_statistic(delta_hat, basis)
-
-        def permuted(perm: np.ndarray) -> float:
-            return trace_statistic(delta_hat[np.ix_(perm, perm)], basis)
+        def stat(perm: np.ndarray) -> float:
+            return float(delta_hat[perm[rows], perm[cols]] @ weights)
 
     else:
         v1 = first_eigvec(spectrum if spectrum is not None else spectral(x))
-        if statistic == "block":
-            basis = block_basis(n, min_len, max_len)
+        basis = block_basis(n, min_len, max_len) if statistic == "block" else None
 
-            def observed() -> float:
-                return block_statistic(v1, basis)
+        def stat(perm: np.ndarray) -> float:
+            return trend_statistic(v1[perm]) if basis is None else block_statistic(v1[perm], basis)
 
-            def permuted(perm: np.ndarray) -> float:
-                return block_statistic(v1[perm], basis)
-
-        else:
-
-            def observed() -> float:
-                return trend_statistic(v1)
-
-            def permuted(perm: np.ndarray) -> float:
-                return trend_statistic(v1[perm])
-
-    s_obs = observed()
-    if exhaustive:
-        nulls = np.array(
-            [permuted(np.array(p)) for p in itertools.permutations(range(n))]
-        )
-    else:
-        nulls = np.empty(L)
-        for rep in range(L):
-            rng = _null_rng(seed, rep)
-            nulls[rep] = permuted(rng.permutation(n))
+    s_obs = stat(np.arange(n))
+    perms = (map(np.array, itertools.permutations(range(n))) if exhaustive
+             else (_null_rng(seed, rep).permutation(n) for rep in range(L)))
+    nulls = np.fromiter(map(stat, perms), dtype=float)
     p, exceed = mc_pvalue(nulls, s_obs, conservative)
     method = f"perm_{statistic}" + ("_exhaustive" if exhaustive else "")
     return TestResult(

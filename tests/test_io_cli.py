@@ -229,6 +229,17 @@ class TestCli:
     def test_simulate_requires_out(self):
         assert main(["simulate", "--model", "wishart", "--df", "10", "--n", "4"]) == 1
 
+    def test_simulate_rejects_standardization_options(self, tmp_path):
+        out = str(tmp_path / "draws.csv")
+        base = ["simulate", "--model", "blocks", "--m", "40", "--n", "5", "--reps", "2", "--out", out]
+        assert main(base + ["--max-iter", "1"]) == 1
+        assert main(base + ["--tol", "5"]) == 1
+        assert main(base + ["--format", "text"]) == 1
+
+    def test_fdr_scan_bad_mtilde_exit_code(self, matrix_file, capsys):
+        assert main(["fdr-scan", matrix_file, "--mtilde", "abc"]) == 1
+        assert "'auto' or a number" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self):
         assert main(["permtest"]) == 1  # missing required arguments
         assert main(["no-such-command"]) == 1

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,17 @@ from colindep import (
 )
 
 
+def catalog(basis):
+    """Dense 0/1 block vectors, one row per run: the oracle for the run-sum forms."""
+    rows = []
+    for length in range(basis.min_len, basis.max_len + 1):
+        for start in range(basis.n - length + 1):
+            v = np.zeros(basis.n)
+            v[start : start + length] = 1.0
+            rows.append(v)
+    return np.array(rows)
+
+
 class TestBlockBasis:
     def test_catalog_size_n44(self):
         basis = block_basis(44, 2, 10)
@@ -29,7 +41,7 @@ class TestBlockBasis:
     def test_exhaustive_small_case(self):
         basis = block_basis(3, 2, 2)
         assert basis.size == 2
-        assert sorted(map(tuple, basis.vectors.tolist())) == [
+        assert sorted(map(tuple, catalog(basis).tolist())) == [
             (0.0, 1.0, 1.0),
             (1.0, 1.0, 0.0),
         ]
@@ -41,11 +53,18 @@ class TestBlockBasis:
 
     def test_b_matrix_properties(self):
         basis = block_basis(9, 2, 6)
-        b = basis.B
+        b = np.empty((9, 9))
+        for j in range(9):
+            for k in range(9):
+                e = np.zeros((9, 9))
+                e[j, k] += 1.0
+                e[k, j] += 1.0
+                b[j, k] = trace_statistic(e, basis) / 2  # B_jk
         assert np.array_equal(b, b.T)
         assert np.allclose(b, np.round(b))  # integer entries
         assert np.all(np.linalg.eigvalsh(b) > -1e-10)
-        assert np.allclose(b, basis.vectors.T @ basis.vectors)
+        vectors = catalog(basis)
+        assert np.allclose(b, vectors.T @ vectors)
 
     def test_bounds_validation(self):
         with pytest.raises(InvalidInput):
@@ -75,7 +94,7 @@ class TestBlockStatistic:
         rng = np.random.default_rng(61)
         basis = block_basis(8, 2, 5)
         v = rng.standard_normal(8)
-        oracle = float(np.sum((basis.vectors @ v) ** 2))
+        oracle = float(np.sum((catalog(basis) @ v) ** 2))
         assert block_statistic(v, basis) == pytest.approx(oracle, rel=1e-12)
 
     def test_dimension_mismatch(self):
@@ -157,16 +176,17 @@ class TestFirstEigvec:
 class TestTraceStatistic:
     def test_identity_gives_trace_of_b(self):
         basis = block_basis(7, 2, 4)
-        oracle = float(sum(np.sum(v) for v in basis.vectors))  # each |beta|^2 = length
+        vectors = catalog(basis)
+        oracle = float(sum(np.sum(v) for v in vectors))  # each |beta|^2 = length
         assert trace_statistic(np.eye(7), basis) == pytest.approx(oracle)
-        assert oracle == np.trace(basis.B)
+        assert oracle == np.trace(vectors.T @ vectors)
 
     def test_single_block_reduces_to_quadratic_form(self):
         basis = block_basis(4, 3, 3)
         rng = np.random.default_rng(68)
         a = rng.standard_normal((4, 4))
         delta = a @ a.T
-        oracle = sum(float(b @ delta @ b) for b in basis.vectors)
+        oracle = sum(float(b @ delta @ b) for b in catalog(basis))
         assert trace_statistic(delta, basis) == pytest.approx(oracle, rel=1e-12)
 
     def test_matches_double_sum(self):
@@ -174,8 +194,10 @@ class TestTraceStatistic:
         a = rng.standard_normal((6, 6))
         delta = (a + a.T) / 2
         basis = block_basis(6, 2, 4)
+        vectors = catalog(basis)
+        b = vectors.T @ vectors
         oracle = sum(
-            delta[i, j] * basis.B[j, i] for i in range(6) for j in range(6)
+            delta[i, j] * b[j, i] for i in range(6) for j in range(6)
         )
         assert trace_statistic(delta, basis) == pytest.approx(oracle, rel=1e-12)
 
@@ -185,11 +207,75 @@ class TestTraceStatistic:
         basis = block_basis(8, 2, 5)
         s = spectral(x)
         delta_hat = x.values.T @ x.values / x.m
+        vectors = catalog(basis)
+        b = vectors.T @ vectors
         expansion = sum(
-            (s.eigenvalues[k] / x.m) * float(s.right_vectors[:, k] @ basis.B @ s.right_vectors[:, k])
+            (s.eigenvalues[k] / x.m) * float(s.right_vectors[:, k] @ b @ s.right_vectors[:, k])
             for k in range(s.rank)
         )
         assert trace_statistic(delta_hat, basis) == pytest.approx(expansion, rel=1e-10)
+
+
+class TestStatisticsMatchCatalog:
+    def test_random_shapes_and_permutations(self):
+        rng = np.random.default_rng(81)
+        for case in range(60):
+            n = int(rng.integers(2, 41))
+            min_len = n if case % 5 == 0 else int(rng.integers(2, n + 1))
+            max_len = int(rng.integers(min_len, n + 4))  # beyond n in some cases
+            basis = block_basis(n, min_len, max_len)
+            vectors = catalog(basis)
+            assert basis.size == vectors.shape[0]
+            x = DataMatrix(rng.standard_normal((int(rng.integers(3, 30)), n)))
+            v = rng.standard_normal(n)
+            delta = x.values.T @ x.values / x.m
+            for perm in (np.arange(n), rng.permutation(n)):
+                oracle = float(np.sum((vectors @ v[perm]) ** 2))
+                assert block_statistic(v[perm], basis) == pytest.approx(oracle, rel=1e-12)
+                dp = delta[np.ix_(perm, perm)]
+                oracle = float(np.einsum("hi,ij,hj->", vectors, dp, vectors))
+                assert trace_statistic(dp, basis) == pytest.approx(oracle, rel=1e-12)
+
+            seed, L = int(rng.integers(1000)), 7
+            perms = [
+                np.random.default_rng(np.random.SeedSequence((seed, rep))).permutation(n)
+                for rep in range(L)
+            ]
+            v1 = first_eigvec(spectral(x))
+            res = perm_pvalue(x, "block", L=L, seed=seed, min_len=min_len, max_len=max_len)
+            oracle = [float(np.sum((vectors @ v1[p]) ** 2)) for p in perms]
+            assert np.allclose(res.null_samples, oracle, rtol=1e-12, atol=0.0)
+            res = perm_pvalue(x, "trace", L=L, seed=seed, min_len=min_len, max_len=max_len)
+            oracle = [
+                float(np.einsum("hi,ij,hj->", vectors, delta[np.ix_(p, p)], vectors)) for p in perms
+            ]
+            assert np.allclose(res.null_samples, oracle, rtol=1e-12, atol=0.0)
+
+    def test_asymmetric_delta_rejected(self):
+        delta = np.eye(5)
+        delta[0, 3] = 1.0
+        with pytest.raises(InvalidInput):
+            trace_statistic(delta, block_basis(5))
+
+
+class TestPermPvalueMemory:
+    """No catalog, no B and no permuted copy of delta_hat: memory stays linear in n."""
+
+    @staticmethod
+    def _peak_bytes(x, statistic, L):
+        tracemalloc.start()
+        try:
+            perm_pvalue(x, statistic, L=L, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_block_and_trace_peaks(self):
+        n = 2000
+        x = DataMatrix(np.random.default_rng(82).standard_normal((50, n)))
+        assert self._peak_bytes(x, "block", L=20) < 8 * 2**20
+        # delta_hat itself is n*n*8 bytes; a per-permutation copy would double it
+        assert self._peak_bytes(x, "trace", L=5) < 1.5 * n * n * 8
 
 
 class TestPermPvalue:
