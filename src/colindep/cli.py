@@ -40,7 +40,13 @@ from .errors import (
 )
 from .io import ParseOptions, ingest, write_matrix
 from .matrix import double_standardize, spectral
-from .normal import SimulationSpec, eigenratio, sample_matrix_normal, sample_wishart
+from .normal import (
+    SimulationSpec,
+    _psd_eigenvalues,
+    eigenratio,
+    sample_matrix_normal,
+    sample_wishart,
+)
 
 _USAGE_ERRORS = (InvalidInput, ParseError)
 _NUMERICAL_ERRORS = (NonConvergence, NumericalError, CalibrationFailure, np.linalg.LinAlgError)
@@ -170,7 +176,7 @@ def _cmd_simulate(args) -> int:
             raise InvalidInput("--df is required for the wishart model")
         draws = sample_wishart(args.df, np.eye(args.n), seed=args.seed, size=args.reps)
         for k in range(args.reps):
-            vals = np.clip(np.linalg.eigvalsh(draws[k]), 0.0, None)
+            vals = _psd_eigenvalues(draws[k])
             c2 = float(np.sum(vals**2) / args.n**2)
             rows.append([float(vals[-1] / vals.sum()), c2, float(np.trace(draws[k]))])
     else:

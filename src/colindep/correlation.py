@@ -20,9 +20,6 @@ from .matrix import DataMatrix, SpectralSummary, spectral
 
 _ESTIMATORS = ("eigen", "corrected", "simple")
 
-# sampled pair index spaces larger than this use rejection sampling
-_PAIR_ENUM_LIMIT = 1 << 21
-
 
 def column_cov(x: DataMatrix) -> np.ndarray:
     """Sample covariance matrix of the columns, X'X/m.
@@ -41,31 +38,13 @@ def column_cov(x: DataMatrix) -> np.ndarray:
 
 
 def _pair_indices(m: int, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    total = m * (m - 1) // 2
-    if total <= _PAIR_ENUM_LIMIT:
-        iu, ju = np.triu_indices(m, 1)
-        pick = rng.permutation(total)[:count]
-        return iu[pick], ju[pick]
-    # index space too large to enumerate; rejection-sample distinct pairs
-    seen: set[int] = set()
-    out_i = np.empty(count, dtype=np.int64)
-    out_j = np.empty(count, dtype=np.int64)
-    filled = 0
-    while filled < count:
-        a = int(rng.integers(0, m))
-        b = int(rng.integers(0, m))
-        if a == b:
-            continue
-        if a > b:
-            a, b = b, a
-        key = a * m + b
-        if key in seen:
-            continue
-        seen.add(key)
-        out_i[filled] = a
-        out_j[filled] = b
-        filled += 1
-    return out_i, out_j
+    # distinct ranks in row-major triu order, unranked in exact integers:
+    # row i holds ranks starts[i] .. starts[i] + m - i - 2
+    k = rng.choice(m * (m - 1) // 2, size=count, replace=False)
+    r = np.arange(m - 1)
+    starts = r * (2 * m - r - 1) // 2
+    i = np.searchsorted(starts, k, side="right") - 1
+    return i, k - starts[i] + i + 1
 
 
 def _pearson_rows(values: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -87,9 +66,11 @@ def _pearson_rows(values: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarra
 def row_corr_sample(x: DataMatrix, count: int, seed: int) -> np.ndarray:
     """Pearson correlations for ``count`` distinct row pairs drawn uniformly.
 
-    Pairs (i, j) with i < j are sampled without replacement and the
-    result is reproducible from ``seed``.  Asking for more pairs than
-    m(m-1)/2 raises InvalidInput.
+    Pairs (i, j) with i < j are sampled without replacement, for every
+    m, by drawing ``count`` distinct ranks in [0, m(m-1)/2) and
+    unranking each into its pair in row-major order, in O(count + m)
+    memory.  The result is reproducible from ``seed``.  Asking for more
+    pairs than m(m-1)/2 raises InvalidInput.
     """
     m = x.m
     total = m * (m - 1) // 2

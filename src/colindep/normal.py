@@ -16,7 +16,7 @@ import numpy as np
 
 from .correlation import alpha_corrected, _pair_indices, _pearson_rows
 from .errors import CalibrationFailure, InvalidInput
-from .matrix import DataMatrix, SpectralSummary, double_standardize
+from .matrix import DataMatrix, SpectralSummary, _standardize_axis, double_standardize
 
 _SIGMA_MODELS = ("identity", "block")
 _DELTA_MODELS = ("identity", "spiked")
@@ -126,11 +126,7 @@ def sample_matrix_normal(spec: SimulationSpec, rng: np.random.Generator | None =
         y = y @ _spiked_root(spec.spike_lambda, spec.spike_beta)
     state = "raw"
     if spec.standardize:
-        y = y - y.mean(axis=0)
-        sd = y.std(axis=0)
-        if np.any(sd <= 0):
-            raise InvalidInput("degenerate column in simulated matrix")
-        y = y / sd
+        y = _standardize_axis(y, axis=0)
         state = "col_std"
     return DataMatrix(y, state)
 
@@ -196,13 +192,12 @@ def eigenratio(s: SpectralSummary) -> float:
     return float(e[0] / e.sum())
 
 
-def _eigenratio_of_psd(mat: np.ndarray) -> float:
-    vals = np.linalg.eigvalsh(mat)
-    vals = np.clip(vals, 0.0, None)
-    total = vals.sum()
-    if total <= 0:
+def _psd_eigenvalues(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric PSD matrix, rounding negatives to 0."""
+    vals = np.clip(np.linalg.eigvalsh(mat), 0.0, None)
+    if vals.sum() <= 0:
         raise InvalidInput("matrix has no positive eigenvalues")
-    return float(vals[-1] / total)
+    return vals
 
 
 def eigenratio_null(
@@ -244,8 +239,8 @@ def eigenratio_null(
             rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
             x = sample_matrix_normal(spec, rng)
             z, _ = double_standardize(x)
-            delta_hat = z.values.T @ z.values / z.m
-            out[rep] = _eigenratio_of_psd(delta_hat)
+            vals = _psd_eigenvalues(z.values.T @ z.values / z.m)
+            out[rep] = vals[-1] / vals.sum()
     else:
         raise InvalidInput("model must be 'wishart' or 'correlated_rows'")
     return out

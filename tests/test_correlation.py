@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from colindep import (
     spectral,
     SimulationSpec,
 )
+from colindep.correlation import _pair_indices
 
 
 def equal_eigenvalue_matrix(blocks: int) -> DataMatrix:
@@ -118,6 +121,53 @@ class TestRowCorrSample:
         assert np.array_equal(a, b)
         assert np.all(np.abs(a) <= 1.0)
         assert np.unique(a).size > 150  # distinct pairs
+
+
+class TestPairIndices:
+    """Distinct ranks unranked into row-major triu pairs, for every m."""
+
+    @pytest.mark.parametrize("m", list(range(2, 61)) + [2000])
+    def test_all_ranks_give_every_pair(self, m):
+        total = m * (m - 1) // 2
+        i, j = _pair_indices(m, total, np.random.default_rng(m))
+        order = np.lexsort((j, i))
+        iu, ju = np.triu_indices(m, 1)
+        assert np.array_equal(i[order], iu)
+        assert np.array_equal(j[order], ju)
+
+    @pytest.mark.parametrize("m", [20426, 10**6])
+    def test_large_m_pairs_valid_and_distinct(self, m):
+        count = 10_000
+        i, j = _pair_indices(m, count, np.random.default_rng(48))
+        assert i.size == j.size == count
+        assert np.all((0 <= i) & (i < j) & (j < m))
+        # rank of (i, j) in row-major triu order, in closed form
+        rank = i * (2 * m - i - 1) // 2 + (j - i - 1)
+        assert np.unique(rank).size == count
+        assert rank.min() >= 0 and rank.max() < m * (m - 1) // 2
+
+    def test_every_pair_equally_likely(self):
+        m, count, seeds = 6, 3, 5000
+        hits = np.zeros((m, m))
+        for seed in range(seeds):
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            i, j = _pair_indices(m, count, rng)
+            hits[i, j] += 1
+        freq = hits[np.triu_indices(m, 1)] / seeds
+        p = count / (m * (m - 1) // 2)
+        se = np.sqrt(p * (1 - p) / seeds)
+        assert np.all(np.abs(freq - p) < 5 * se)
+
+    def test_memory_linear_in_count(self):
+        # enumerating all 1,999,000 pairs of m=2000 would take tens of MiB
+        rng = np.random.default_rng(49)
+        tracemalloc.start()
+        try:
+            _pair_indices(2000, 20_000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestC2:
