@@ -105,7 +105,7 @@ class AuditReport:
             "version": self.version,
             "input": {"m": self.m, "n": self.n, "groups": group_summary},
             "config": self.config.to_dict(),
-            "standardization": asdict(self.standardization),
+            "standardization": self.standardization.to_dict(),
             "correlation": self.correlation.to_dict(),
             "tests": self.tests,
             "outliers": self.outliers.to_dict(include_pairs) if self.outliers else None,
@@ -344,11 +344,15 @@ def emit(report: AuditReport, format: str = "json", include_pairs: bool = True) 
     if report.groups:
         names = sorted(set(report.groups), key=report.groups.index)
         group_note = ", groups " + "+".join(str(report.groups.count(g)) for g in names)
+    std = report.standardization
+    sweep_note = ""
+    if std.deviations:
+        sweep_note = f" ({len(std.deviations)} per-sweep deviations, last {std.deviations[-1]:.2e})"
     lines = [
         f"colindep audit v{report.version}",
         f"input: {report.m} x {report.n}" + group_note,
-        f"standardization: {report.standardization.iterations} sweeps, "
-        f"max deviation {report.standardization.max_deviation:.2e}",
+        f"standardization: {std.iterations} sweeps, "
+        f"max deviation {std.max_deviation:.2e}" + sweep_note,
         f"c2 = {corr.c2:.6f}  alpha_hat = {np.sqrt(corr.alpha_hat_sq):.4f}  "
         f"m_tilde = {corr.m_tilde:.2f}  (estimator: {corr.estimator})",
         "",

@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -135,7 +134,7 @@ def _cmd_standardize(args) -> int:
     ctx, _ = _prepare(args)
     if args.matrix_out:
         write_matrix(args.matrix_out, ctx.z)
-    _emit_dict({"m": ctx.z.m, "n": ctx.z.n, **asdict(ctx.info), "matrix_out": args.matrix_out}, args)
+    _emit_dict({"m": ctx.z.m, "n": ctx.z.n, **ctx.info.to_dict(), "matrix_out": args.matrix_out}, args)
     return 0
 
 

@@ -112,9 +112,20 @@ def ingest(path: str, options: ParseOptions | None = None) -> tuple[DataMatrix, 
         raise InvalidInput("row_ids must be 'auto', 'yes' or 'no'")
     first_data_col = 2 if has_ids else 1
 
+    # numpy parses each token as Python's float does; a row that fails or
+    # holds a non-finite value goes cell by cell, which reports missing
+    # and non-numeric cells and passes inf on to DataMatrix
     values = np.empty((len(body), width - (1 if has_ids else 0)))
     for i, row in enumerate(body):
-        for j, token in enumerate(row[first_data_col - 1 :]):
+        cells = row[first_data_col - 1 :]
+        try:
+            values[i] = np.array(cells, dtype=float)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values[i]).all():
+                continue
+        for j, token in enumerate(cells):
             values[i, j] = _parse_cell(token, first_data_row + i, first_data_col + j)
 
     matrix = DataMatrix(values, "raw")

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.stats import norm as _norm
@@ -58,6 +58,16 @@ class DataMatrix:
             raise InvalidInput(f"unknown state {self.state!r}")
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray, state: str) -> DataMatrix:
+        # wrap a finite float array that nothing writes to again, without
+        # the defensive copy and checks of __init__
+        a.setflags(write=False)
+        x = cls.__new__(cls)
+        object.__setattr__(x, "values", a)
+        object.__setattr__(x, "state", state)
+        return x
 
     @property
     def m(self) -> int:
@@ -122,11 +132,22 @@ class SpectralSummary:
 
 @dataclass(frozen=True)
 class StandardizeInfo:
-    """Outcome of double standardization: iterations used and final deviation."""
+    """Outcome of double standardization: iterations used and final deviation.
+
+    ``deviations`` holds the deviation the stop test measured after each
+    sweep: that of the axis standardized first, and of both axes on a
+    sweep where the first is within tolerance.  Its last entry is
+    ``max_deviation``; it is empty when the input was already
+    standardized.
+    """
 
     iterations: int
     max_deviation: float
     order: str = "col_first"
+    deviations: tuple[float, ...] = ()
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "deviations": list(self.deviations)}
 
 
 def standardization_deviation(a: np.ndarray) -> float:
@@ -153,25 +174,48 @@ def demean(x: DataMatrix) -> DataMatrix:
     return DataMatrix(out, state)
 
 
+def _axis_mean(a: np.ndarray, axis: int) -> np.ndarray:
+    # one BLAS matrix-vector product: column means (axis=0) or row means
+    ones = np.ones(a.shape[axis])
+    return (ones @ a if axis == 0 else a @ ones) / ones.size
+
+
+def _axis_mean_square(a: np.ndarray, axis: int) -> np.ndarray:
+    return np.einsum("ij,ij->j" if axis == 0 else "ij,ij->i", a, a) / a.shape[axis]
+
+
+def _axis_deviation(a: np.ndarray, axis: int) -> float:
+    # largest |mean| or |variance - 1| along axis, without a temporary
+    mean = _axis_mean(a, axis)
+    var = _axis_mean_square(a, axis) - mean * mean
+    return float(max(np.abs(mean).max(), np.abs(var - 1.0).max()))
+
+
 def _standardize_axis(a: np.ndarray, axis: int) -> np.ndarray:
-    # axis=0 standardizes columns, axis=1 rows; population variance
-    mean = a.mean(axis=axis, keepdims=True)
-    sd = a.std(axis=axis, keepdims=True)
-    scale = np.abs(mean) + 1.0
-    bad = np.nonzero(sd.ravel() <= 1e-12 * scale.ravel())[0]
+    """Standardize ``a`` in place along ``axis`` (0: columns, 1: rows) and return it.
+
+    Population variance.  An axis whose sd is at most 1e-12·(|mean|+1)
+    raises DegenerateAxis with its first index; ``a`` is then left
+    partly centred.
+    """
+    mean = _axis_mean(a, axis)
+    a -= np.expand_dims(mean, axis)
+    sd = np.sqrt(_axis_mean_square(a, axis))
+    bad = np.nonzero(sd <= 1e-12 * (np.abs(mean) + 1.0))[0]
     if bad.size:
         raise DegenerateAxis("column" if axis == 0 else "row", int(bad[0]))
-    return (a - mean) / sd
+    a *= np.expand_dims(1.0 / sd, axis)
+    return a
 
 
 def standardize_columns(x: DataMatrix) -> DataMatrix:
     """Give every column mean 0 and (population) variance 1."""
-    return DataMatrix(_standardize_axis(x.values, axis=0), "col_std")
+    return DataMatrix._adopt(_standardize_axis(x.values.copy(), axis=0), "col_std")
 
 
 def standardize_rows(x: DataMatrix) -> DataMatrix:
     """Give every row mean 0 and (population) variance 1."""
-    return DataMatrix(_standardize_axis(x.values, axis=1), "row_std")
+    return DataMatrix._adopt(_standardize_axis(x.values.copy(), axis=1), "row_std")
 
 
 def double_standardize(
@@ -185,6 +229,12 @@ def double_standardize(
     Iterates until every row/column mean is within ``tol`` of 0 and every
     row/column variance within ``tol`` of 1.  A matrix that already
     satisfies those conditions is returned unchanged with 0 iterations.
+
+    Each sweep standardizes one private copy in place.  Its second step
+    leaves its own axis exact to rounding, so the stop test reads the
+    means and variances of the axis standardized first, and those of
+    the second axis only once the first meets ``tol``: that rounding
+    grows with how close to constant an axis was before its step.
 
     Parameters
     ----------
@@ -203,17 +253,22 @@ def double_standardize(
         raise InvalidInput(f"order must be 'col_first' or 'row_first', got {order!r}")
     if max_iter < 1:
         raise InvalidInput("max_iter must be at least 1")
-    a = x.values
-    dev = standardization_deviation(a)
+    dev = standardization_deviation(x.values)
     if dev < tol:
-        return DataMatrix(a, "double_std"), StandardizeInfo(0, dev, order)
+        return DataMatrix._adopt(x.values, "double_std"), StandardizeInfo(0, dev, order)
     first, second = (0, 1) if order == "col_first" else (1, 0)
+    a = x.values.copy()
+    deviations = []
     for it in range(1, max_iter + 1):
-        a = _standardize_axis(a, axis=first)
-        a = _standardize_axis(a, axis=second)
-        dev = standardization_deviation(a)
+        _standardize_axis(a, axis=first)
+        _standardize_axis(a, axis=second)
+        dev = _axis_deviation(a, first)
         if dev < tol:
-            return DataMatrix(a, "double_std"), StandardizeInfo(it, dev, order)
+            dev = max(dev, _axis_deviation(a, second))
+        deviations.append(dev)
+        if dev < tol:
+            info = StandardizeInfo(it, dev, order, tuple(deviations))
+            return DataMatrix._adopt(a, "double_std"), info
     raise NonConvergence(
         f"double standardization did not reach tol={tol:.3g} in {max_iter} sweeps "
         f"(deviation {dev:.3g})"

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from colindep import DataMatrix, ParseError, ParseOptions, ingest, write_matrix
+from colindep import ColindepError, DataMatrix, ParseError, ParseOptions, ingest, write_matrix
 from colindep.cli import main
 
 
@@ -110,6 +110,59 @@ class TestIngest:
         gpath.write_text("healthy\nsick\n")
         with pytest.raises(ParseError):
             ingest(str(path), ParseOptions(groups_file=str(gpath)))
+
+
+# tokens whose parse numpy and Python's float must agree on, plus
+# missing, non-numeric and non-finite cells
+_TOKENS = [" 1.5 ", "1_000", "+3", "\t2", "NaN", "-Infinity", "", "1,5", "0x10", "inf", "NA", "x"]
+
+
+def _cellwise(grid):
+    # the per-cell parse, as ingest did it before its per-row fast path
+    values = np.empty((len(grid), len(grid[0])))
+    for i, row in enumerate(grid):
+        for j, token in enumerate(row):
+            stripped = token.strip()
+            if stripped.lower() in {"", "na", "nan", "null", "n/a"}:
+                raise ParseError("missing value", row=i + 2, column=j + 1)
+            try:
+                values[i, j] = float(stripped)
+            except ValueError:
+                raise ParseError(f"non-numeric cell {token!r}", row=i + 2, column=j + 1) from None
+    return DataMatrix(values)
+
+
+def _outcome(read):
+    try:
+        return ("ok", read().values.tolist())
+    except ColindepError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "row", None), getattr(exc, "column", None))
+
+
+class TestIngestMatchesCellwiseParse:
+    OPTS = ParseOptions(delimiter=";", header="yes", row_ids="no")
+
+    def _check(self, tmp_path, cells):
+        grid = [["1", "2", "3"], ["4", "5", "6"], ["7", "8", "9"]]
+        for (i, j), token in cells.items():
+            grid[i][j] = token
+        path = tmp_path / "m.txt"
+        path.write_text("a;b;c\n" + "".join(";".join(row) + "\n" for row in grid))
+        got = _outcome(lambda: ingest(str(path), self.OPTS)[0])
+        assert got == _outcome(lambda: _cellwise(grid))
+        return got
+
+    @pytest.mark.parametrize("token", _TOKENS)
+    def test_single_token(self, tmp_path, token):
+        got = self._check(tmp_path, {(1, 1): token})
+        if token == "NaN":
+            assert got == ("ParseError", "missing value (row 3, column 2)", 3, 2)
+
+    @pytest.mark.parametrize("first", _TOKENS)
+    def test_first_bad_cell_is_reported(self, tmp_path, first):
+        for second in _TOKENS:
+            self._check(tmp_path, {(0, 2): first, (1, 0): second})
+            self._check(tmp_path, {(1, 2): first, (1, 0): second})
 
 
 @pytest.fixture

@@ -1,13 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from colindep import (
     DataMatrix,
     DegenerateAxis,
     InvalidInput,
     NonConvergence,
+    SimulationSpec,
+    block_labels,
     demean,
     double_standardize,
+    eigenratio_null,
     normal_scores_columns,
     spectral,
     standardization_deviation,
@@ -167,6 +174,149 @@ class TestDoubleStandardize:
         a[2] = 0.5
         with pytest.raises(DegenerateAxis):
             double_standardize(DataMatrix(a), order="row_first")
+
+
+def _oracle_axis(a, axis):
+    # the axis step before fusion: a new array, numpy's mean and std
+    mean = a.mean(axis=axis, keepdims=True)
+    sd = a.std(axis=axis, keepdims=True)
+    bad = np.nonzero(sd.ravel() <= 1e-12 * (np.abs(mean) + 1.0).ravel())[0]
+    if bad.size:
+        raise DegenerateAxis("column" if axis == 0 else "row", int(bad[0]))
+    return (a - mean) / sd
+
+
+def _oracle_double_standardize(a, order="col_first", max_iter=50, tol=1e-8):
+    """The sweep before fusion: two axis steps, then all four moments.
+
+    Returns the last matrix and the deviation after each sweep; the
+    caller reads convergence from the last deviation.
+    """
+    devs = []
+    if standardization_deviation(a) < tol:
+        return a, devs
+    first, second = (0, 1) if order == "col_first" else (1, 0)
+    for _ in range(max_iter):
+        a = _oracle_axis(_oracle_axis(a, first), second)
+        devs.append(standardization_deviation(a))
+        if devs[-1] < tol:
+            break
+    return a, devs
+
+
+@st.composite
+def _offset_scaled_matrices(draw):
+    # standard normal noise times row and column scale factors, plus row
+    # and column offsets, each spanning [1e-3, 1e3]; maybe one constant
+    # row or column
+    m = draw(st.integers(2, 300))
+    n = draw(st.integers(2, 40))
+    e = [draw(st.floats(-3.0, 3.0)) for _ in range(4)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = (
+        rng.standard_normal((m, n))
+        * 10 ** (e[0] * rng.uniform(-1, 1, (m, 1)))
+        * 10 ** (e[1] * rng.uniform(-1, 1, (1, n)))
+        + 10 ** e[2] * rng.uniform(-1, 1, (m, 1))
+        + 10 ** e[3] * rng.uniform(-1, 1, (1, n))
+    )
+    constant = draw(st.sampled_from([None, "row", "column"]))
+    k = draw(st.integers(0, 10**6))
+    if constant == "row":
+        a[k % m] = 10 ** e[2]
+    elif constant == "column":
+        a[:, k % n] = 10 ** e[3]
+    return a
+
+
+class TestFusedSweepMatchesOracle:
+    TOL = 1e-8
+
+    def _near_tol(self, dev):
+        return abs(dev - self.TOL) <= 1e-12 * self.TOL
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(a=_offset_scaled_matrices(), order=st.sampled_from(["col_first", "row_first"]))
+    def test_random_shapes_offsets_and_scales(self, a, order):
+        try:
+            oz, odevs = _oracle_double_standardize(a, order=order, tol=self.TOL)
+        except DegenerateAxis as exc:
+            with pytest.raises(DegenerateAxis) as err:
+                double_standardize(DataMatrix(a), order=order, tol=self.TOL)
+            assert (err.value.axis, err.value.index) == (exc.axis, exc.index)
+            return
+        converged = not odevs or odevs[-1] < self.TOL
+        try:
+            z, info = double_standardize(DataMatrix(a), order=order, tol=self.TOL)
+        except NonConvergence:
+            assert not converged or self._near_tol(odevs[-1])
+            return
+        if not converged or info.iterations != len(odevs):
+            # the two may stop at different sweeps only where the oracle's deviation sits on tol
+            assert self._near_tol(odevs[min(info.iterations, len(odevs)) - 1])
+            return
+        assert len(info.deviations) == info.iterations
+        if info.deviations:
+            assert info.deviations[-1] == info.max_deviation
+        assert np.abs(z.values - oz).max() <= 1e-10
+        assert abs(info.max_deviation - standardization_deviation(z.values)) <= 1e-14
+
+    def test_correlated_rows_null_matches_oracle_loop(self):
+        m, n, blocks, gamma, seed, reps = 2000, 63, 5, 1.28, 2024, 20
+        spec = SimulationSpec(m=m, n=n, sigma_model="block", num_blocks=blocks, gamma=gamma)
+        got = eigenratio_null("correlated_rows", reps, n, seed, spec=spec)
+        want = np.empty(reps)
+        for rep in range(reps):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
+            y = rng.standard_normal((m, n))
+            y = y + gamma * rng.standard_normal((blocks, n))[block_labels(m, blocks)]
+            z, devs = _oracle_double_standardize(y)
+            assert devs[-1] < 1e-8
+            vals = np.clip(np.linalg.eigvalsh(z.T @ z / m), 0.0, None)
+            want[rep] = vals[-1] / vals.sum()
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_deviation_per_sweep(self):
+        rng = np.random.default_rng(40)
+        z, info = double_standardize(DataMatrix(rng.standard_normal((200, 20))))
+        assert len(info.deviations) == info.iterations >= 2
+        assert info.deviations[-1] == info.max_deviation < 1e-8
+        assert all(d >= 1e-8 for d in info.deviations[:-1])
+        again, info0 = double_standardize(z)
+        assert info0.iterations == 0 and info0.deviations == ()
+
+    def test_second_axis_checked_on_the_last_sweep(self):
+        # rows that are nearly constant before the row step keep a row-mean
+        # error far above 1e-16 after it: columns are equal up to 1e-3
+        x = np.random.default_rng(43).standard_normal(100) * 100
+        a = np.empty((200, 2))
+        a[0::2] = np.column_stack([x, x + 1e-3])
+        a[1::2] = np.column_stack([x + 1e-3, x])
+        z, info = double_standardize(DataMatrix(a))
+        assert info.iterations == 1
+        assert abs(info.max_deviation - standardization_deviation(z.values)) <= 1e-14
+        assert info.max_deviation > 1e-12
+
+    def test_peak_memory_linear_in_input(self):
+        x = DataMatrix(np.random.default_rng(41).standard_normal((2000, 63)))
+        tracemalloc.start()
+        try:
+            double_standardize(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.values.nbytes
+
+    def test_input_left_untouched(self):
+        a = np.random.default_rng(42).standard_normal((30, 7)) + 5.0
+        x = DataMatrix(a)
+        before = x.values.copy()
+        for order in ("col_first", "row_first"):
+            double_standardize(x, max_iter=200, order=order)
+        standardize_columns(x)
+        standardize_rows(x)
+        assert np.array_equal(x.values, before)
 
 
 class TestSpectral:
