@@ -14,7 +14,6 @@ other stages run, and a subcommand matches the audit entry it shares.
 
 from __future__ import annotations
 
-import json
 import time
 import warnings
 import zlib
@@ -28,6 +27,7 @@ from ._version import __version__
 from .correlation import CorrelationReport, correlation_report
 from .errors import ColindepError, InvalidInput
 from .fdr import OutlierReport, scan_column_pairs
+from .jsonout import dumps
 from .matrix import (
     DataMatrix,
     SpectralSummary,
@@ -117,9 +117,11 @@ class AuditReport:
         return out
 
     def to_json(self, exclude_timings: bool = False, include_pairs: bool = True) -> str:
-        return json.dumps(
-            self.to_dict(exclude_timings, include_pairs), sort_keys=True, indent=2
-        )
+        """``to_dict`` as canonical JSON, with the pair list rendered from its columns."""
+        payload = self.to_dict(exclude_timings, include_pairs=False)
+        if include_pairs and self.outliers is not None:
+            payload["outliers"]["pairs"] = self.outliers
+        return dumps(payload)
 
 
 @dataclass

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from .errors import (
     ParseError,
 )
 from .io import ParseOptions, ingest, write_matrix
+from .jsonout import write_json
 from .matrix import double_standardize, spectral
 from .normal import (
     SimulationSpec,
@@ -65,10 +67,15 @@ def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
 
 
 def _mtilde(arg: str) -> float | None:
+    if arg == "auto":
+        return None
     try:
-        return None if arg == "auto" else float(arg)
+        value = float(arg)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {arg!r}") from None
+        value = math.nan
+    if not 3.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a number, finite and above 3, got {arg!r}")
+    return value
 
 
 def _parse_groups(arg: str | None) -> tuple[int, ...] | None:
@@ -117,7 +124,10 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 def _emit_dict(payload: dict, args) -> None:
     if args.format == "json":
-        _write_output(json.dumps(payload, sort_keys=True, indent=2), args.out)
+        # streamed, so a scan's pair list is never held as one string
+        with nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as fh:
+            write_json(payload, fh)
+            fh.write("\n")
     else:
         lines = [f"{k}: {v}" for k, v in payload.items() if not isinstance(v, (list, dict))]
         _write_output("\n".join(lines), args.out)
@@ -162,7 +172,10 @@ def _cmd_fdr_scan(args) -> int:
         counts, edges = np.histogram(out.r, bins=args.bins, range=(-1.0, 1.0))
         rows = zip(map(repr, edges[:-1].tolist()), map(repr, edges[1:].tolist()), counts.tolist())
         _write_csv(args.hist_out, ["bin_left", "bin_right", "count"], rows)
-    _emit_dict(out.to_dict(include_pairs=args.format == "json"), args)
+    payload = out.to_dict(include_pairs=False)
+    if args.format == "json":
+        payload["pairs"] = out
+    _emit_dict(payload, args)
     return 0
 
 

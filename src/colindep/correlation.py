@@ -19,6 +19,8 @@ from .errors import DegenerateAxis, InvalidInput
 from .matrix import DataMatrix, SpectralSummary, spectral
 
 _ESTIMATORS = ("eigen", "corrected", "simple")
+#: cells each side of the row-pair correlations gathers at a time
+_PAIR_CELLS = 1 << 20
 
 
 def column_cov(x: DataMatrix) -> np.ndarray:
@@ -48,19 +50,26 @@ def _pair_indices(m: int, count: int, rng: np.random.Generator) -> tuple[np.ndar
 
 
 def _pearson_rows(values: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    a = values[i]
-    b = values[j]
-    a = a - a.mean(axis=1, keepdims=True)
-    b = b - b.mean(axis=1, keepdims=True)
-    na = np.einsum("ij,ij->i", a, a)
-    nb = np.einsum("ij,ij->i", b, b)
+    # each side gathers about _PAIR_CELLS cells at a time; each pair's
+    # arithmetic is the same as in one batch, so the values are too
+    step = max(1, _PAIR_CELLS // values.shape[1])
+    na, nb, ab = np.empty(i.size), np.empty(i.size), np.empty(i.size)
+    for start in range(0, i.size, step):
+        part = slice(start, start + step)
+        a = values[i[part]]
+        b = values[j[part]]
+        a -= a.mean(axis=1, keepdims=True)
+        b -= b.mean(axis=1, keepdims=True)
+        na[part] = np.einsum("ij,ij->i", a, a)
+        nb[part] = np.einsum("ij,ij->i", b, b)
+        ab[part] = np.einsum("ij,ij->i", a, b)
     bad = np.nonzero(na <= 0)[0]
     if bad.size:
         raise DegenerateAxis("row", int(i[bad[0]]))
     bad = np.nonzero(nb <= 0)[0]
     if bad.size:
         raise DegenerateAxis("row", int(j[bad[0]]))
-    return np.einsum("ij,ij->i", a, b) / np.sqrt(na * nb)
+    return ab / np.sqrt(na * nb)
 
 
 def row_corr_sample(x: DataMatrix, count: int, seed: int) -> np.ndarray:

@@ -9,6 +9,7 @@ Benjamini-Hochberg step-up rule flags the discoveries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,10 +32,10 @@ def corr_null_pvalue(r, m_tilde: float, shift: float = 0.0):
     through the regularized incomplete beta function.  The p-value is
     P(R >= r - shift), so a negative ``shift`` recenters the null to the
     left (as demeaning does to observed correlations).  Scalar or array
-    ``r``.
+    ``r``; ``m_tilde`` must be a finite number above 3.
     """
-    if m_tilde <= 3:
-        raise InvalidInput("m_tilde must exceed 3")
+    if not 3.0 < m_tilde < math.inf:
+        raise InvalidInput(f"m_tilde must be a finite number above 3, got {m_tilde}")
     rr = np.asarray(r, dtype=float)
     if np.any(rr < -1.0) or np.any(rr > 1.0):
         raise InvalidInput("correlations must lie in [-1, 1]")
@@ -99,9 +100,14 @@ class OutlierReport:
     def n_pairs(self) -> int:
         return int(self.r.size)
 
-    def to_dict(self, include_pairs: bool = True) -> dict:
+    @property
+    def significant(self) -> np.ndarray:
+        """Boolean mask over the pairs, True at the discoveries."""
         sig = np.zeros(self.n_pairs, dtype=bool)
         sig[self.discoveries] = True
+        return sig
+
+    def to_dict(self, include_pairs: bool = True) -> dict:
         out = {
             "q": self.q,
             "null_model": self.null_model,
@@ -111,6 +117,7 @@ class OutlierReport:
             "threshold_r": self.threshold_r,
         }
         if include_pairs:
+            sig = self.significant
             out["pairs"] = [
                 {
                     "j": int(self.pair_j[k]),

@@ -1,0 +1,81 @@
+"""Canonical JSON for every report: sorted keys, two-space indent.
+
+A report is rendered by ``json.dumps(sort_keys=True, indent=2)``, except
+for the column-pair list of an FDR scan, which holds n(n-1)/2 records
+(499,500 at n = 1000).  A payload carries the ``OutlierReport`` itself
+where that list belongs.  ``write_json`` renders the list straight from
+the report's columns with a fixed record template, ``_PAIR_CHUNK`` pairs
+per write, and gives the same bytes as ``json.dumps`` of
+``to_dict(include_pairs=True)``: ``%r`` of a float is the
+``float.__repr__`` that ``json`` uses.
+"""
+
+from __future__ import annotations
+
+import io
+import itertools
+import json
+from typing import TextIO
+
+import numpy as np
+
+from .fdr import OutlierReport
+
+#: pair records rendered and written at a time
+_PAIR_CHUNK = 50_000
+
+
+def write_json(payload, fh: TextIO) -> None:
+    """Write ``payload`` to ``fh``; each ``OutlierReport`` in it becomes its pair list."""
+    reports: list[OutlierReport] = []
+
+    def mark(obj):
+        if isinstance(obj, OutlierReport):
+            reports.append(obj)
+            return marker
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    # the marker must not occur in any other string of the payload
+    for k in itertools.count():
+        marker = f"\x00pairs{k}"
+        reports.clear()
+        parts = json.dumps(payload, sort_keys=True, indent=2, default=mark).split(json.dumps(marker))
+        if len(parts) == len(reports) + 1:
+            break
+    fh.write(parts[0])
+    for report, before, after in zip(reports, parts, parts[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        _write_pairs(report, len(line) - len(line.lstrip(" ")), fh)
+        fh.write(after)
+
+
+def dumps(payload) -> str:
+    """``write_json`` into a string."""
+    buf = io.StringIO()
+    write_json(payload, buf)
+    return buf.getvalue()
+
+
+def _write_pairs(report: OutlierReport, depth: int, fh: TextIO) -> None:
+    # the list opens on a line indented by ``depth``; its records sit two deeper
+    if report.n_pairs == 0:
+        fh.write("[]")
+        return
+    outer, inner = " " * (depth + 2), " " * (depth + 4)
+    record = (
+        f'{outer}{{\n{inner}"j": %d,\n{inner}"jp": %d,\n{inner}"p": %r,\n'
+        f'{inner}"r": %r,\n{inner}"significant": %s\n{outer}}}'
+    )
+    significant = report.significant
+    fh.write("[\n")
+    for start in range(0, report.n_pairs, _PAIR_CHUNK):
+        part = slice(start, start + _PAIR_CHUNK)
+        rows = zip(
+            report.pair_j[part].tolist(),
+            report.pair_jp[part].tolist(),
+            report.p_values[part].tolist(),
+            report.r[part].tolist(),
+            np.where(significant[part], "true", "false").tolist(),
+        )
+        fh.write((",\n" if start else "") + ",\n".join([record % row for row in rows]))
+    fh.write("\n" + " " * depth + "]")

@@ -5,6 +5,7 @@ import pytest
 
 from colindep import (
     DataMatrix,
+    DegenerateAxis,
     InvalidInput,
     alpha_corrected,
     block_labels,
@@ -21,7 +22,8 @@ from colindep import (
     spectral,
     SimulationSpec,
 )
-from colindep.correlation import _pair_indices
+from colindep import correlation
+from colindep.correlation import _pair_indices, _pearson_rows
 
 
 def equal_eigenvalue_matrix(blocks: int) -> DataMatrix:
@@ -168,6 +170,75 @@ class TestPairIndices:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def pearson_rows_one_batch(values, i, j):
+    """The row-pair correlations with every pair gathered at once."""
+    a = values[i]
+    b = values[j]
+    a = a - a.mean(axis=1, keepdims=True)
+    b = b - b.mean(axis=1, keepdims=True)
+    na = np.einsum("ij,ij->i", a, a)
+    nb = np.einsum("ij,ij->i", b, b)
+    bad = np.nonzero(na <= 0)[0]
+    if bad.size:
+        raise DegenerateAxis("row", int(i[bad[0]]))
+    bad = np.nonzero(nb <= 0)[0]
+    if bad.size:
+        raise DegenerateAxis("row", int(j[bad[0]]))
+    return np.einsum("ij,ij->i", a, b) / np.sqrt(na * nb)
+
+
+class TestPearsonRowsChunked:
+    """Chunked row-pair correlations equal the one-batch form bit for bit."""
+
+    @pytest.mark.parametrize("m, n, step", [(9, 2, 1), (12, 5, 3), (30, 13, 4), (40, 63, 7), (25, 150, 10)])
+    def test_counts_around_chunk_boundaries(self, monkeypatch, m, n, step):
+        monkeypatch.setattr(correlation, "_PAIR_CELLS", step * n)
+        rng = np.random.default_rng(m * n)
+        values = rng.standard_normal((m, n)) * rng.uniform(0.1, 10.0, (m, 1)) + rng.uniform(-5, 5, (m, 1))
+        total = m * (m - 1) // 2
+        counts = {1, step - 1, step, step + 1, 2 * step, 2 * step + 1, total}
+        for count in sorted(c for c in counts if 1 <= c <= total):
+            i, j = _pair_indices(m, count, rng)
+            assert np.array_equal(_pearson_rows(values, i, j), pearson_rows_one_batch(values, i, j))
+
+    @pytest.mark.parametrize("m, n, count", [(400, 1000, 10_000), (2000, 63, 40_000), (300, 1000, 2 * 1048 + 1)])
+    def test_default_chunk_on_bench_shapes(self, m, n, count):
+        rng = np.random.default_rng(n)
+        x = demean(DataMatrix(rng.standard_normal((m, n))))
+        i, j = _pair_indices(m, count, rng)
+        assert np.array_equal(_pearson_rows(x.values, i, j), pearson_rows_one_batch(x.values, i, j))
+
+    def test_same_degenerate_row_reported(self, monkeypatch):
+        # a constant second row in the first chunk, a constant first row in the last:
+        # the first rows are checked before the second rows, over all pairs
+        monkeypatch.setattr(correlation, "_PAIR_CELLS", 2 * 6)
+        values = np.random.default_rng(48).standard_normal((8, 6))
+        values[5] = 1.5
+        values[7] = -2.0
+        i = np.array([0, 1, 2, 3, 1, 7, 2])
+        j = np.array([5, 2, 3, 4, 6, 3, 6])
+        for fn in (pearson_rows_one_batch, _pearson_rows):
+            with pytest.raises(DegenerateAxis) as err:
+                fn(values, i, j)
+            assert (err.value.axis, err.value.index) == ("row", 7)
+        with pytest.raises(DegenerateAxis) as err:
+            _pearson_rows(values, i[:5], j[:5])
+        assert err.value.index == 5
+
+    def test_memory_bounded_on_screen_shape(self):
+        # one batch gathers and centres 2 x 10,000 x 1000 floats (a 229 MB peak)
+        rng = np.random.default_rng(49)
+        values = rng.standard_normal((400, 1000))
+        i, j = _pair_indices(400, 10_000, rng)
+        tracemalloc.start()
+        try:
+            _pearson_rows(values, i, j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestC2:

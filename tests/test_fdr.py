@@ -54,6 +54,9 @@ class TestCorrNullPvalue:
     def test_validation(self):
         with pytest.raises(InvalidInput):
             corr_null_pvalue(0.5, 3.0)
+        for m_tilde in (float("nan"), float("inf")):
+            with pytest.raises(InvalidInput, match="finite number above 3"):
+                corr_null_pvalue(0.5, m_tilde)
         with pytest.raises(InvalidInput):
             corr_null_pvalue(1.5, 10.0)
 

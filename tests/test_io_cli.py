@@ -293,6 +293,15 @@ class TestCli:
         assert main(["fdr-scan", matrix_file, "--mtilde", "abc"]) == 1
         assert "'auto' or a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "3", "-1"])
+    def test_fdr_scan_mtilde_must_be_finite_above_three(self, matrix_file, capsys, value):
+        # NaN passed the old "m_tilde <= 3" check, and inf wrote "m_tilde": Infinity
+        assert main(["fdr-scan", matrix_file, f"--mtilde={value}"]) == 1
+        err = capsys.readouterr().err
+        assert "finite and above 3" in err and repr(value) in err
+        assert main(["fdr-scan", matrix_file, "--mtilde", "3.0001"]) == 0
+        assert json.loads(capsys.readouterr().out)["m_tilde"] == 3.0001
+
     def test_usage_error_exit_code(self):
         assert main(["permtest"]) == 1  # missing required arguments
         assert main(["no-such-command"]) == 1

@@ -1,0 +1,198 @@
+"""The streamed JSON writer gives the bytes ``json.dumps`` gives for the full pair list."""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from colindep import (
+    AuditConfig,
+    DataMatrix,
+    OutlierReport,
+    audit,
+    demean,
+    double_standardize,
+    emit,
+    scan_column_pairs,
+    write_matrix,
+)
+from colindep import cli, jsonout
+from colindep.cli import main
+from colindep.jsonout import dumps, write_json
+
+
+def oracle(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def scan(m: int, n: int, seed: int, planted: bool = False, **kwargs) -> OutlierReport:
+    x = np.random.default_rng(seed).standard_normal((m, n))
+    if planted:
+        x[:, 1] = x[:, 0] + 0.05 * x[:, 1]
+    z, _ = double_standardize(demean(DataMatrix(x)), max_iter=200)
+    return scan_column_pairs(z, kwargs.pop("m_tilde", float(m)), 0.1, **kwargs)
+
+
+def two_column_scan() -> OutlierReport:
+    # two doubly standardized columns are each other's negative: one pair, r = -1
+    z = DataMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]] * 20), "double_std")
+    return scan_column_pairs(z, 40.0, 0.1)
+
+
+def as_json(report: OutlierReport) -> str:
+    payload = report.to_dict(include_pairs=False)
+    payload["pairs"] = report
+    return dumps(payload)
+
+
+class TestWriterMatchesJsonDumps:
+    def test_one_pair(self):
+        report = two_column_scan()
+        assert report.n_pairs == 1
+        assert as_json(report) == oracle(report.to_dict(include_pairs=True))
+
+    @pytest.mark.parametrize("n", [3, 7])
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_small_scans(self, n, planted):
+        report = scan(40, n, seed=n, planted=planted)
+        assert as_json(report) == oracle(report.to_dict(include_pairs=True))
+
+    def test_with_and_without_discoveries(self):
+        clean, found = scan(60, 7, seed=1), scan(60, 7, seed=1, planted=True)
+        assert clean.discoveries.size == 0 and found.discoveries.size > 0
+        for report in (clean, found):
+            assert as_json(report) == oracle(report.to_dict(include_pairs=True))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"two_sided": True},
+            {"null_model": "gaussian", "gauss_mu": -1 / 6, "gauss_sd": 0.2},
+            {"null_model": "gaussian", "gauss_mu": -1 / 6, "gauss_sd": 0.2, "two_sided": True},
+        ],
+    )
+    def test_null_models_and_sides(self, kwargs):
+        report = scan(50, 7, seed=2, planted=True, **kwargs)
+        assert as_json(report) == oracle(report.to_dict(include_pairs=True))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 20, 21, 22])
+    def test_chunk_boundaries(self, monkeypatch, chunk):
+        # 21 pairs: several chunks, a partial last chunk, exactly one chunk, one partial chunk
+        monkeypatch.setattr(jsonout, "_PAIR_CHUNK", chunk)
+        report = scan(30, 7, seed=3, planted=True)
+        assert as_json(report) == oracle(report.to_dict(include_pairs=True))
+
+    @pytest.mark.parametrize("n", [316, 317])
+    def test_default_chunk_boundary(self, n):
+        # 49,770 pairs fit one chunk, 50,086 need two
+        report = scan(30, n, seed=4, m_tilde=12.0)
+        assert (report.n_pairs > jsonout._PAIR_CHUNK) == (n == 317)
+        assert as_json(report) == oracle(report.to_dict(include_pairs=True))
+
+    def test_nested_and_repeated_reports(self):
+        a, b = scan(30, 4, seed=5), scan(30, 3, seed=6)
+        payload = {"x": {"deep": [a, 1]}, "y": b, "z": "\x00pairs0"}
+        want = {"x": {"deep": [a.to_dict()["pairs"], 1]}, "y": b.to_dict()["pairs"], "z": "\x00pairs0"}
+        assert dumps(payload) == oracle(want)
+
+    def test_no_pairs(self):
+        empty = np.array([], dtype=np.int64)
+        report = OutlierReport(empty, empty, np.array([]), np.array([]), 0.1, empty, None, "correlation", 5.0)
+        assert as_json(report) == oracle(report.to_dict(include_pairs=True))
+
+    def test_unknown_objects_still_rejected(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            dumps({"a": object()})
+
+    def test_memory_bounded_on_screen_report(self, tmp_path):
+        # the parent's to_dict + json.dumps peaked near 620 MB on this report
+        report = scan(400, 1000, seed=7, m_tilde=14.0)
+        payload = report.to_dict(include_pairs=False)
+        payload["pairs"] = report
+        with open(tmp_path / "screen.json", "w") as fh:
+            tracemalloc.start()
+            try:
+                write_json(payload, fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert (tmp_path / "screen.json").stat().st_size > 60e6
+
+
+class TestAuditJson:
+    @pytest.fixture(scope="class")
+    def report(self):
+        x = np.random.default_rng(8).standard_normal((60, 9))
+        x[:, 1] = x[:, 0] + 0.1 * x[:, 1]
+        return audit(DataMatrix(x), AuditConfig(seed=3, L=50, eigen_reps=10), groups=["a"] * 5 + ["b"] * 4)
+
+    @pytest.mark.parametrize("exclude_timings", [False, True])
+    @pytest.mark.parametrize("include_pairs", [False, True])
+    def test_to_json(self, report, exclude_timings, include_pairs):
+        assert report.outliers is not None and report.outliers.discoveries.size > 0
+        want = oracle(report.to_dict(exclude_timings, include_pairs))
+        assert report.to_json(exclude_timings, include_pairs) == want
+
+    def test_emit(self, report):
+        assert emit(report) == oracle(report.to_dict())
+        assert emit(report, include_pairs=False) == oracle(report.to_dict(include_pairs=False))
+
+
+@pytest.fixture
+def seven_columns(tmp_path):
+    x = np.random.default_rng(9).standard_normal((50, 7))
+    x[:, 1] = x[:, 0] + 0.05 * x[:, 1]
+    path = tmp_path / "seven.csv"
+    write_matrix(str(path), DataMatrix(x))
+    return str(path)
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """Each OutlierReport the CLI's fdr-scan computes."""
+    reports, fdr_stage = [], cli.fdr_stage
+
+    def recording(*args, **kwargs):
+        reports.append(fdr_stage(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "fdr_stage", recording)
+    return reports
+
+
+class TestCliJson:
+    @pytest.mark.parametrize("extra", [[], ["--null", "gauss"], ["--two-sided"], ["--mtilde", "9.5"]])
+    def test_fdr_scan_out_and_stdout(self, seven_columns, scanned, tmp_path, capsys, extra):
+        out = tmp_path / "scan.json"
+        assert main(["fdr-scan", seven_columns, "--seed", "2", "--out", str(out), *extra]) == 0
+        assert main(["fdr-scan", seven_columns, "--seed", "2", *extra]) == 0
+        first, second = scanned
+        assert first.discoveries.size > 0
+        want = oracle(first.to_dict(include_pairs=True)) + "\n"
+        assert out.read_text() == want
+        assert capsys.readouterr().out == want == oracle(second.to_dict(include_pairs=True)) + "\n"
+
+    @pytest.mark.parametrize("chunk", [1, 20, 21, 22])
+    def test_fdr_scan_chunk_boundaries(self, seven_columns, scanned, monkeypatch, capsys, chunk):
+        monkeypatch.setattr(jsonout, "_PAIR_CHUNK", chunk)
+        assert main(["fdr-scan", seven_columns]) == 0
+        assert capsys.readouterr().out == oracle(scanned[0].to_dict(include_pairs=True)) + "\n"
+
+    def test_no_cli_path_builds_pair_dicts(self, seven_columns, monkeypatch, tmp_path, capsys):
+        to_dict = OutlierReport.to_dict
+
+        def pairs_refused(self, include_pairs=True):
+            assert not include_pairs, "the CLI rendered the pair list through to_dict"
+            return to_dict(self, include_pairs)
+
+        monkeypatch.setattr(OutlierReport, "to_dict", pairs_refused)
+        out = str(tmp_path / "res.json")
+        assert main(["fdr-scan", seven_columns, "--out", out]) == 0
+        assert main(["fdr-scan", seven_columns]) == 0
+        assert main(["audit", seven_columns, "--L", "20", "--reps", "5", "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["audit", seven_columns, "--L", "20", "--reps", "5"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["outliers"]["pairs"]) == 21
+
