@@ -39,12 +39,10 @@ from .matrix import (
     StandardizeInfo,
     demean,
     double_standardize,
-    normal_scores_columns,
     spectral,
     standardization_deviation,
     standardize_columns,
     standardize_rows,
-    t_to_z,
 )
 from .normal import (
     BilinearResult,
@@ -118,7 +116,6 @@ __all__ = [
     "first_eigvec",
     "ingest",
     "mc_pvalue",
-    "normal_scores_columns",
     "offdiag_moments",
     "perm_pvalue",
     "row_corr_sample",
@@ -130,7 +127,6 @@ __all__ = [
     "standardization_deviation",
     "standardize_columns",
     "standardize_rows",
-    "t_to_z",
     "trace_stat_moments",
     "trace_statistic",
     "trend_statistic",

@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc
-from scipy.stats import norm as _norm
+from scipy.special import betainc, ndtr
 
 from .correlation import column_cov
 from .errors import InvalidInput
@@ -146,14 +145,17 @@ def scan_column_pairs(
     with nu = m_tilde pairs, recentered by the -1/(n-1) shift that
     demeaning forces on the observed correlations.  ``"gaussian"`` uses
     N(gauss_mu, gauss_sd^2), the cruder alternative (both parameters
-    required).  One-sided upper p-values by default; ``two_sided``
-    doubles the smaller tail.  Swapping null models changes only the
-    p-values, never the correlations.
+    required).  ``m_tilde`` must be finite and positive under either
+    null; the gaussian null only reports it.  One-sided upper p-values
+    by default; ``two_sided`` doubles the smaller tail.  Swapping null
+    models changes only the p-values, never the correlations.
     """
     if x.state != "double_std":
         raise InvalidInput("scan_column_pairs expects a doubly standardized matrix")
     if null_model not in _NULL_MODELS:
         raise InvalidInput(f"null_model must be one of {_NULL_MODELS}")
+    if not 0.0 < m_tilde < math.inf:
+        raise InvalidInput(f"m_tilde must be a finite positive number, got {m_tilde}")
     n = x.n
     cov = column_cov(x)
     ju, jpu = np.triu_indices(n, 1)
@@ -165,7 +167,7 @@ def scan_column_pairs(
             raise InvalidInput("gaussian null requires gauss_mu and gauss_sd")
         if gauss_sd <= 0:
             raise InvalidInput("gauss_sd must be positive")
-        p = _norm.sf((r - gauss_mu) / gauss_sd)
+        p = ndtr(-(r - gauss_mu) / gauss_sd)
     if two_sided:
         p = 2.0 * np.minimum(p, 1.0 - p)
     discoveries = bh_fdr(p, q)

@@ -32,17 +32,22 @@ class ParseOptions:
     groups_file: str | None = None
 
 
-def _is_number(token: str) -> bool:
+def _is_missing(token: str) -> bool:
+    return token.strip().lower() in _MISSING_TOKENS
+
+
+def _is_label(token: str) -> bool:
+    # a cell that is neither a number nor a missing value
     try:
         float(token)
     except ValueError:
-        return False
-    return token.strip().lower() not in _MISSING_TOKENS
+        return not _is_missing(token)
+    return False
 
 
 def _parse_cell(token: str, row: int, col: int) -> float:
     stripped = token.strip()
-    if stripped.lower() in _MISSING_TOKENS:
+    if _is_missing(stripped):
         raise ParseError("missing value", row=row, column=col)
     try:
         return float(stripped)
@@ -69,9 +74,12 @@ def _labels_from_sizes(sizes: tuple[int, ...], n: int) -> list[str]:
 def ingest(path: str, options: ParseOptions | None = None) -> tuple[DataMatrix, list[str] | None]:
     """Read a dense matrix from a delimited text file.
 
-    Auto-detects an optional header row (any non-numeric cell in the
-    first row) and an optional leading row-ID column, both overridable
-    through ``options``.  Missing or non-numeric cells raise ParseError
+    Auto-detects an optional header row and an optional leading row-ID
+    column, both overridable through ``options``.  A label, a cell that
+    is neither a number nor a missing value, marks them: anywhere in
+    the first row for a header, anywhere in the first column below it
+    for row IDs.  A missing corner cell above a row-ID column marks a
+    header too.  Missing or non-numeric cells raise ParseError
     with their 1-based location; no imputation is attempted.  Returns
     the matrix (state "raw") and per-column group labels when the
     options provide them, else None.
@@ -93,8 +101,11 @@ def ingest(path: str, options: ParseOptions | None = None) -> tuple[DataMatrix, 
         if len(row) != width:
             raise ParseError(f"ragged table: {len(row)} cells, expected {width}", row=k + 1)
 
+    ids_below = opts.row_ids == "auto" and any(_is_label(row[0]) for row in rows[1:])
     if opts.header == "auto":
-        has_header = any(not _is_number(tok) for tok in rows[0])
+        # a missing corner cell above row IDs marks a header too
+        corner = _is_missing(rows[0][0]) and (ids_below or opts.row_ids == "yes")
+        has_header = corner or any(map(_is_label, rows[0]))
     elif opts.header in ("yes", "no"):
         has_header = opts.header == "yes"
     else:
@@ -105,7 +116,7 @@ def ingest(path: str, options: ParseOptions | None = None) -> tuple[DataMatrix, 
         raise ParseError("no data rows")
 
     if opts.row_ids == "auto":
-        has_ids = any(not _is_number(row[0]) for row in body)
+        has_ids = ids_below or (not has_header and _is_label(rows[0][0]))
     elif opts.row_ids in ("yes", "no"):
         has_ids = opts.row_ids == "yes"
     else:

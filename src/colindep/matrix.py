@@ -15,9 +15,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.stats import norm as _norm
-from scipy.stats import rankdata
-from scipy.stats import t as _student_t
 
 from .errors import DegenerateAxis, InvalidInput, NonConvergence, NumericalError
 
@@ -253,7 +250,7 @@ def double_standardize(
         raise InvalidInput(f"order must be 'col_first' or 'row_first', got {order!r}")
     if max_iter < 1:
         raise InvalidInput("max_iter must be at least 1")
-    dev = standardization_deviation(x.values)
+    dev = max(_axis_deviation(x.values, 0), _axis_deviation(x.values, 1))
     if dev < tol:
         return DataMatrix._adopt(x.values, "double_std"), StandardizeInfo(0, dev, order)
     first, second = (0, 1) if order == "col_first" else (1, 0)
@@ -297,34 +294,3 @@ def spectral(x: DataMatrix, rank_tol: float = RANK_TOL) -> SpectralSummary:
         left_vectors=u[:, :k].copy(),
         right_vectors=vt[:k].T.copy(),
     )
-
-
-def t_to_z(t, df: int):
-    """Map a t statistic to the z scale: Phi^{-1}(F_df(t)).
-
-    Strictly increasing and antisymmetric in ``t``.  Accepts a scalar or
-    an array; evaluation goes through the upper tail so precision is
-    kept far out in either tail.
-    """
-    if df < 1:
-        raise InvalidInput("df must be at least 1")
-    tt = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(tt)):
-        raise InvalidInput("t must be finite")
-    sf = _student_t.sf(np.abs(tt), df)
-    z = np.where(tt >= 0, _norm.isf(sf), -_norm.isf(sf))
-    if np.isscalar(t) or tt.ndim == 0:
-        return float(z)
-    return z
-
-
-def normal_scores_columns(x: DataMatrix) -> DataMatrix:
-    """Optional hook: replace each column by its normal scores.
-
-    Ranks within each column are mapped through Phi^{-1}(rank/(m+1)),
-    making all column marginals identical.
-    """
-    a = x.values
-    m = a.shape[0]
-    ranks = np.apply_along_axis(rankdata, 0, a)
-    return DataMatrix(_norm.ppf(ranks / (m + 1.0)), "raw")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import norm
 
 from colindep import (
     DataMatrix,
@@ -186,3 +187,23 @@ class TestScanColumnPairs:
             scan_column_pairs(z, m_tilde=10.0, q=0.1, null_model="gaussian")
         with pytest.raises(InvalidInput):
             scan_column_pairs(z, m_tilde=10.0, q=0.1, null_model="cauchy")
+        gauss = {"null_model": "gaussian", "gauss_mu": -0.2, "gauss_sd": 0.2}
+        for m_tilde in (float("nan"), float("inf"), 0.0):
+            for null in ({}, gauss):
+                with pytest.raises(InvalidInput, match="m_tilde"):
+                    scan_column_pairs(z, m_tilde, 0.1, **null)
+
+    @pytest.mark.parametrize("two_sided", [False, True])
+    def test_gaussian_null_matches_norm_sf(self, two_sided):
+        rng = np.random.default_rng(123)
+        a = rng.standard_normal((50, 30))
+        a[:, 1] = a[:, 0] + 0.05 * rng.standard_normal(50)  # a far-tail pair
+        z = self.standardized(a)
+        for mu, sd in ((-1 / 29, 0.15), (0.01, 0.02)):
+            out = scan_column_pairs(
+                z, 25.0, 0.1, "gaussian", gauss_mu=mu, gauss_sd=sd, two_sided=two_sided
+            )
+            p = norm.sf((out.r - mu) / sd)
+            if two_sided:
+                p = 2.0 * np.minimum(p, 1.0 - p)
+            assert np.array_equal(out.p_values, p)

@@ -1,6 +1,10 @@
 import csv
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,24 @@ class TestIngest:
         gpath.write_text("healthy\nsick\n")
         with pytest.raises(ParseError):
             ingest(str(path), ParseOptions(groups_file=str(gpath)))
+
+    @pytest.mark.parametrize("text, row, column", [
+        ("1.5,NA,3.0\n4,5,6\n7,8,9\n", 1, 2),
+        ("1,2,3\nNA,5,6\n7,8,9\n", 2, 1),
+    ])
+    def test_missing_value_is_not_a_label(self, tmp_path, text, row, column):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="missing value") as err:
+            ingest(str(path))
+        assert (err.value.row, err.value.column) == (row, column)
+
+    @pytest.mark.parametrize("corner_row", [",s1,s2,s3", ",2001,2002,2003"])
+    def test_blank_corner_over_row_ids_is_a_header(self, tmp_path, corner_row):
+        path = tmp_path / "m.csv"
+        path.write_text(corner_row + "\nr1,1,2,3\nr2,4,5,6\nr3,7,8,9\n")
+        x, _ = ingest(str(path))
+        assert np.array_equal(x.values, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
 
 
 # tokens whose parse numpy and Python's float must agree on, plus
@@ -316,6 +338,11 @@ class TestCli:
         # one sweep cannot standardize a raw random matrix
         assert main(["standardize", matrix_file, "--max-iter", "1"]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        code = "import sys, colindep.cli; assert 'scipy.stats' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

@@ -15,12 +15,10 @@ from colindep import (
     demean,
     double_standardize,
     eigenratio_null,
-    normal_scores_columns,
     spectral,
     standardization_deviation,
     standardize_columns,
     standardize_rows,
-    t_to_z,
 )
 
 
@@ -368,52 +366,3 @@ class TestSpectral:
         x = DataMatrix(rng.standard_normal((14, 9)))
         s = spectral(x)
         assert np.isclose(s.eigenvalues.sum(), np.trace(x.values.T @ x.values), rtol=1e-10)
-
-
-class TestTToZ:
-    def test_zero_maps_to_zero(self):
-        for df in (1, 3, 61, 200):
-            assert t_to_z(0.0, df) == 0.0
-
-    def test_reference_values(self):
-        # frozen from an independent high-precision evaluation (mpmath, 40 digits)
-        assert abs(t_to_z(2.0, 61) - 1.9603214780861898) < 1e-10
-        assert abs(t_to_z(0.5, 3) - 0.4517515666164371) < 1e-10
-        assert abs(t_to_z(-1.25, 7) - (-1.1467912737712161)) < 1e-10
-        assert abs(t_to_z(3.0, 200) - 2.9633556899435911) < 1e-10
-
-    def test_large_df_limit(self):
-        assert abs(t_to_z(1.5, 10**6) - 1.5) < 0.01
-
-    def test_antisymmetric(self):
-        grid = np.linspace(-4, 4, 17)
-        z = t_to_z(grid, 9)
-        assert np.allclose(z, -z[::-1])
-
-    def test_strictly_increasing(self):
-        grid = np.linspace(-6, 6, 100)
-        for df in (3, 61, 200):
-            z = t_to_z(grid, df)
-            assert np.all(np.diff(z) > 0)
-
-    def test_invalid_df_or_t(self):
-        with pytest.raises(InvalidInput):
-            t_to_z(1.0, 0)
-        with pytest.raises(InvalidInput):
-            t_to_z(np.inf, 5)
-
-
-class TestNormalScores:
-    def test_columns_share_marginals(self):
-        rng = np.random.default_rng(31)
-        x = normal_scores_columns(DataMatrix(rng.exponential(size=(50, 4))))
-        ref = np.sort(x.values[:, 0])
-        for j in range(1, 4):
-            assert np.allclose(np.sort(x.values[:, j]), ref)
-
-    def test_order_preserved(self):
-        rng = np.random.default_rng(32)
-        a = rng.standard_normal((20, 3))
-        x = normal_scores_columns(DataMatrix(a))
-        for j in range(3):
-            assert np.array_equal(np.argsort(a[:, j]), np.argsort(x.values[:, j]))
