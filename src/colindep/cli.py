@@ -2,9 +2,13 @@
 
 Subcommands: standardize, permtest, eigenratio-test, bilinear, fdr-scan,
 simulate, audit.  Exit codes: 0 success, 1 usage or parse error, 2
-numerical failure.  Threading is delegated to the BLAS backend (control
-it with the usual OMP_NUM_THREADS-style variables); no other
-environment variables are consulted.
+numerical failure.  Simulated null replicates (the eigenratio nulls,
+gamma calibration and ``simulate``'s block and spiked models) run on
+one thread per CPU in the process's affinity mask, so ``taskset`` or a
+cpuset sets their number; each replicate draws from its own substream,
+so results do not depend on it.  BLAS threads are the BLAS backend's
+(the usual OMP_NUM_THREADS-style variables); no other environment
+variables are consulted.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .normal import (
     SimulationSpec,
     _psd_eigenvalues,
     eigenratio,
+    map_replicates,
     sample_matrix_normal,
     sample_wishart,
 )
@@ -182,10 +187,10 @@ def _cmd_fdr_scan(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.out is None:
         raise InvalidInput("simulate requires --out for the draw file")
-    rows = []
     if args.model == "wishart":
         if args.df is None:
             raise InvalidInput("--df is required for the wishart model")
+        rows = []
         draws = sample_wishart(args.df, np.eye(args.n), seed=args.seed, size=args.reps)
         for k in range(args.reps):
             vals = _psd_eigenvalues(draws[k])
@@ -203,13 +208,13 @@ def _cmd_simulate(args) -> int:
                 m=args.m, n=args.n, delta_model="spiked",
                 spike_lambda=getattr(args, "lambda"), spike_beta=beta,
             )
-        for rep in range(args.reps):
-            rng = np.random.default_rng(np.random.SeedSequence((args.seed, rep)))
-            x = sample_matrix_normal(spec, rng)
-            z, _ = double_standardize(x, max_iter=200)
+
+        def replicate(rng: np.random.Generator) -> list[float]:
+            z, _ = double_standardize(sample_matrix_normal(spec, rng), max_iter=200)
             s = spectral(z)
-            trace = float(s.eigenvalues.sum() / z.m)
-            rows.append([eigenratio(s), c2_from_spectrum(s, z.m, z.n), trace])
+            return [eigenratio(s), c2_from_spectrum(s, z.m, z.n), float(s.eigenvalues.sum() / z.m)]
+
+        rows = map_replicates(replicate, args.reps, args.seed)
     _write_csv(args.out, ["eigenratio", "c2", "trace"], ([repr(v) for v in row] for row in rows))
     sys.stdout.write(f"wrote {len(rows)} replicates to {args.out}\n")
     return 0

@@ -19,8 +19,9 @@ from .errors import DegenerateAxis, InvalidInput
 from .matrix import DataMatrix, SpectralSummary, spectral
 
 _ESTIMATORS = ("eigen", "corrected", "simple")
-#: cells each side of the row-pair correlations gathers at a time
-_PAIR_CELLS = 1 << 20
+#: cells each side of the row-pair correlations gathers at a time: 512 KiB
+#: stays in cache, and each concurrent calibration replicate holds its own
+_PAIR_CELLS = 1 << 16
 
 
 def column_cov(x: DataMatrix) -> np.ndarray:

@@ -12,6 +12,7 @@ from .errors import InvalidInput, ParseError
 from .matrix import DataMatrix
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "n/a"}
+_CHOICES = ("auto", "yes", "no")
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,84 @@ def ingest(path: str, options: ParseOptions | None = None) -> tuple[DataMatrix, 
     delim = opts.delimiter
     if delim is None:
         delim = "\t" if p.suffix.lower() in (".tsv", ".tab") else ","
+    values = _load_body(p, delim, opts)
+    if values is None:
+        values = _parse_rows(p, delim, opts)
+
+    matrix = DataMatrix(values, "raw")
+    labels: list[str] | None = None
+    if opts.groups_file is not None:
+        labels = _read_group_labels(opts.groups_file, matrix.n)
+    elif opts.group_sizes is not None:
+        labels = _labels_from_sizes(opts.group_sizes, matrix.n)
+    return matrix, labels
+
+
+def _layout(first: list[str], ids_below: bool, opts: ParseOptions) -> tuple[bool, bool]:
+    """Whether the file has a header row and a row-ID column.
+
+    ``first`` is the first row; ``ids_below`` says a label sits in the
+    first column below it.  An option other than "auto" or "yes" reads
+    as "no"; the callers validate them.
+    """
+    if opts.header == "auto":
+        # a missing corner cell above row IDs marks a header too
+        corner = _is_missing(first[0]) and (ids_below or opts.row_ids == "yes")
+        has_header = corner or any(map(_is_label, first))
+    else:
+        has_header = opts.header == "yes"
+    if opts.row_ids == "auto":
+        has_ids = ids_below or (not has_header and _is_label(first[0]))
+    else:
+        has_ids = opts.row_ids == "yes"
+    return has_header, has_ids
+
+
+def _skip_id(token: str) -> float:
+    return 0.0
+
+
+def _load_body(p: Path, delim: str, opts: ParseOptions) -> np.ndarray | None:
+    """The data cells through numpy's C parser, or None when ``_parse_rows`` must decide.
+
+    The header and the row-ID column are settled from the first two rows
+    with ``csv``: a label in the second row's first cell means row IDs;
+    otherwise the first column is parsed as numbers, which fails on any
+    label below.  numpy's float parser accepts a subset of what Python's
+    ``float`` does (not ``"1_000"``, not non-ASCII digits) and gives the
+    same bits where both accept, so any error, non-finite value or
+    ragged row hands the file to ``_parse_rows`` unchanged.  The row-ID
+    column goes through a converter rather than ``usecols``, because
+    ``usecols`` turns off numpy's check that every row has one width.
+    """
+    if opts.header not in _CHOICES or opts.row_ids not in _CHOICES:
+        return None
+    with open(p, newline="") as fh:
+        reader = csv.reader(fh, delimiter=delim)
+        rows = filter(None, reader)
+        first = next(rows, None)
+        header_lines = reader.line_num
+        second = next(rows, None)
+    if second is None:
+        return None
+    has_header, has_ids = _layout(first, opts.row_ids == "auto" and _is_label(second[0]), opts)
+    with open(p, newline="") as fh:
+        for _ in range(header_lines if has_header else 0):
+            next(fh)
+        try:
+            values = np.loadtxt(
+                fh, delimiter=delim, comments=None, quotechar='"', ndmin=2,
+                converters={0: _skip_id} if has_ids else None,
+            )
+        except ValueError:
+            return None
+    if values.shape[1] != len(first) or not np.isfinite(values).all():
+        return None
+    return values[:, 1:] if has_ids else values
+
+
+def _parse_rows(p: Path, delim: str, opts: ParseOptions) -> np.ndarray:
+    """The data cells parsed row by row, with the ParseError of the first bad cell."""
     with open(p, newline="") as fh:
         rows = [row for row in csv.reader(fh, delimiter=delim) if row]
     if not rows:
@@ -101,25 +180,15 @@ def ingest(path: str, options: ParseOptions | None = None) -> tuple[DataMatrix, 
         if len(row) != width:
             raise ParseError(f"ragged table: {len(row)} cells, expected {width}", row=k + 1)
 
-    ids_below = opts.row_ids == "auto" and any(_is_label(row[0]) for row in rows[1:])
-    if opts.header == "auto":
-        # a missing corner cell above row IDs marks a header too
-        corner = _is_missing(rows[0][0]) and (ids_below or opts.row_ids == "yes")
-        has_header = corner or any(map(_is_label, rows[0]))
-    elif opts.header in ("yes", "no"):
-        has_header = opts.header == "yes"
-    else:
+    if opts.header not in _CHOICES:
         raise InvalidInput("header must be 'auto', 'yes' or 'no'")
+    ids_below = opts.row_ids == "auto" and any(_is_label(row[0]) for row in rows[1:])
+    has_header, has_ids = _layout(rows[0], ids_below, opts)
     body = rows[1:] if has_header else rows
     first_data_row = 2 if has_header else 1
     if not body:
         raise ParseError("no data rows")
-
-    if opts.row_ids == "auto":
-        has_ids = ids_below or (not has_header and _is_label(rows[0][0]))
-    elif opts.row_ids in ("yes", "no"):
-        has_ids = opts.row_ids == "yes"
-    else:
+    if opts.row_ids not in _CHOICES:
         raise InvalidInput("row_ids must be 'auto', 'yes' or 'no'")
     first_data_col = 2 if has_ids else 1
 
@@ -138,14 +207,7 @@ def ingest(path: str, options: ParseOptions | None = None) -> tuple[DataMatrix, 
                 continue
         for j, token in enumerate(cells):
             values[i, j] = _parse_cell(token, first_data_row + i, first_data_col + j)
-
-    matrix = DataMatrix(values, "raw")
-    labels: list[str] | None = None
-    if opts.groups_file is not None:
-        labels = _read_group_labels(opts.groups_file, matrix.n)
-    elif opts.group_sizes is not None:
-        labels = _labels_from_sizes(opts.group_sizes, matrix.n)
-    return matrix, labels
+    return values
 
 
 def write_matrix(

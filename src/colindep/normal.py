@@ -10,7 +10,10 @@ equal-sized groups) and a spiked Delta = I + lambda * beta beta'.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -200,6 +203,43 @@ def _psd_eigenvalues(mat: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _affinity_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def map_replicates(
+    fn: Callable[[np.random.Generator], object],
+    reps: int,
+    seed: int,
+) -> list:
+    """``[fn(rng_0), ..., fn(rng_{reps-1})]``, replicate r drawing from substream (seed, r).
+
+    Replicates run on a pool of one thread per CPU in the affinity mask,
+    never more than ``reps``; with one worker the same calls run as a
+    plain loop.  Threads overlap because the replicates' numpy and BLAS
+    calls release the interpreter lock.  Each running replicate holds
+    its own arrays, so peak memory grows with the worker count.  ``fn``
+    must not mutate shared state; then each result, landing at its
+    index, does not depend on the worker count.
+    """
+    workers = min(reps, _affinity_cpus())
+
+    def one(rep: int):
+        return fn(np.random.default_rng(np.random.SeedSequence((seed, rep))))
+
+    if workers <= 1:
+        return [one(rep) for rep in range(reps)]
+    pool = ThreadPoolExecutor(workers)
+    try:
+        return list(pool.map(one, range(reps)))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def eigenratio_null(
     model: str,
     reps: int,
@@ -216,34 +256,34 @@ def eigenratio_null(
     draws data matrices from ``spec``, doubly standardizes each and takes
     the eigenratio of its column covariance; this is the null that keeps
     the row-correlation structure.  Each replicate uses an independent
-    substream of ``seed``, so results do not depend on evaluation order.
+    substream of ``seed``, so results do not depend on evaluation order
+    or on the worker count (see ``map_replicates``).
     """
     if reps < 1:
         raise InvalidInput("reps must be positive")
-    out = np.empty(reps)
     if model == "wishart":
         if df is None or df <= 0:
             raise InvalidInput("wishart model requires df > 0")
-        for rep in range(reps):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
-            t = _bartlett_factor(df, n, rng)
-            sv = np.linalg.svd(t, compute_uv=False)
+
+        def replicate(rng: np.random.Generator) -> float:
+            sv = np.linalg.svd(_bartlett_factor(df, n, rng), compute_uv=False)
             e = sv * sv
-            out[rep] = e[0] / e.sum()
+            return e[0] / e.sum()
+
     elif model == "correlated_rows":
         if spec is None:
             raise InvalidInput("correlated_rows model requires a SimulationSpec")
         if spec.n != n:
             raise InvalidInput(f"spec.n={spec.n} does not match n={n}")
-        for rep in range(reps):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
-            x = sample_matrix_normal(spec, rng)
-            z, _ = double_standardize(x)
+
+        def replicate(rng: np.random.Generator) -> float:
+            z, _ = double_standardize(sample_matrix_normal(spec, rng))
             vals = _psd_eigenvalues(z.values.T @ z.values / z.m)
-            out[rep] = vals[-1] / vals.sum()
+            return vals[-1] / vals.sum()
+
     else:
         raise InvalidInput("model must be 'wishart' or 'correlated_rows'")
-    return out
+    return np.array(map_replicates(replicate, reps, seed), dtype=float)
 
 
 def _measured_alpha_sq(
@@ -256,19 +296,18 @@ def _measured_alpha_sq(
     pair_count: int,
 ) -> float:
     """Monte Carlo estimate of alpha^2 for the column-standardized block model."""
-    total_pairs = m * (m - 1) // 2
-    count = min(pair_count, total_pairs)
-    est = 0.0
-    for rep in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
-        spec = SimulationSpec(
-            m=m, n=n, sigma_model="block", num_blocks=num_blocks, gamma=gamma,
-            standardize=True,
-        )
+    count = min(pair_count, m * (m - 1) // 2)
+    spec = SimulationSpec(
+        m=m, n=n, sigma_model="block", num_blocks=num_blocks, gamma=gamma, standardize=True,
+    )
+
+    def replicate(rng: np.random.Generator) -> float:
         x = sample_matrix_normal(spec, rng)
-        i, j = _pair_indices(m, count, rng)
-        corrs = _pearson_rows(x.values, i, j)
-        corrected, _ = alpha_corrected(float(corrs.var()), n)
+        corrs = _pearson_rows(x.values, *_pair_indices(m, count, rng))
+        return alpha_corrected(float(corrs.var()), n)[0]
+
+    est = 0.0
+    for corrected in map_replicates(replicate, reps, seed):  # in index order
         est += corrected
     return est / reps
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -26,6 +27,18 @@ def desk_config(**overrides) -> AuditConfig:
 
 
 class TestAudit:
+    def test_json_independent_of_workers(self, monkeypatch):
+        # the affinity mask sizes the pool of null replicates
+        x = sample_matrix_normal(
+            SimulationSpec(m=300, n=12, sigma_model="block", num_blocks=5, gamma=1.0, seed=3)
+        )
+        reports = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            reports.append(audit(x, desk_config(seed=4)).to_json(exclude_timings=True))
+        assert reports[0] == reports[1]
+        assert '"eigenratio_blocks"' in reports[0]
+
     def test_report_shape(self):
         rng = np.random.default_rng(130)
         x = DataMatrix(rng.standard_normal((150, 14)))

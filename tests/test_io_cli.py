@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from colindep import ColindepError, DataMatrix, ParseError, ParseOptions, ingest, write_matrix
 from colindep.cli import main
@@ -42,6 +45,14 @@ class TestIngest:
         with pytest.raises(ParseError) as err:
             ingest(str(path))
         assert err.value.row == 2
+
+    @pytest.mark.parametrize("body", ["g1,1,2\ng2,3,4,5\ng3,6,7\n", "g1,1,2\ng2,3\ng3,6,7\n"])
+    def test_ragged_row_behind_row_ids(self, tmp_path, body):
+        path = tmp_path / "m.csv"
+        path.write_text("id,a,b\n" + body)
+        with pytest.raises(ParseError, match="ragged table") as err:
+            ingest(str(path))
+        assert err.value.row == 3
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -185,6 +196,79 @@ class TestIngestMatchesCellwiseParse:
         for second in _TOKENS:
             self._check(tmp_path, {(0, 2): first, (1, 0): second})
             self._check(tmp_path, {(1, 2): first, (1, 0): second})
+
+    @pytest.mark.parametrize("text", [
+        'a;b;c\n"1";2;"3.5"\n4;"5";6\n',  # quoted cells
+        'a;b;c\n"1;5";2;3\n4;5;"6\n"\n',  # delimiter and line end inside quotes
+        'a;b;c\r\n1;2;3\r\n4;5;6\r\n',  # CRLF
+        'a;b;c\r1;2;3\r4;5;6',  # CR, no final line end
+        'a;b;c;\n1;2;3;\n4;5;6;\n',  # trailing delimiter: an empty last column
+        '\na;b;c\n\n1;2;3\n\n\n4;5;6\n\n',  # blank lines
+        '\ufeffa;b;c\n1;2;3\n4;5;6\n',  # UTF-8 byte-order mark
+        'a;b;c\n1;2#;3\n#4;5;6\n',  # '#' inside a cell is no comment
+        'a;b;c\n1;1_000;3\n4;5;6\n',  # Python's float takes it, numpy does not
+        'a;b;c\n1;2;3\n4;5;6\n7;8\n',  # ragged
+        'a;b;c\n1;2;3\n4;5;6;7\n',
+        'a;b;c\n1;2;3;4\n5;6;7;8\n',  # a header narrower or wider than the body
+        'a;b;c;d\n1;2;3\n4;5;6\n',
+        'a;b;c\n1;nan;3\n4;5;6\n',
+        'a;b;c\n1;2;3\n4;inf;6\n',
+        'a;b;c\n1;2;-Infinity\n4;5;NA\n',
+    ])
+    def test_file_format(self, tmp_path, text):
+        path = tmp_path / "m.txt"
+        path.write_text(text, newline="")
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh, delimiter=";") if row]
+        ragged = next((k for k, row in enumerate(rows) if len(row) != len(rows[0])), None)
+        if ragged is None:
+            expected = _outcome(lambda: _cellwise(rows[1:]))
+        else:
+            expected = ("ParseError", f"ragged table: {len(rows[ragged])} cells, expected "
+                        f"{len(rows[0])} (row {ragged + 1})", ragged + 1, None)
+        assert _outcome(lambda: ingest(str(path), self.OPTS)[0]) == expected
+
+
+_BITS = st.integers(0, 2**64 - 1).map(lambda b: np.uint64(b).view(np.float64))
+
+
+class TestIngestRoundTrip:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        cells=st.integers(2, 5).flatmap(
+            lambda n: st.lists(st.lists(_BITS.filter(np.isfinite), min_size=n, max_size=n),
+                               min_size=2, max_size=5)
+        ),
+        header=st.booleans(),
+        row_ids=st.booleans(),
+    )
+    def test_repr_round_trip_is_bit_exact(self, tmp_path, cells, header, row_ids):
+        x = DataMatrix(np.array(cells))
+        path = tmp_path / "m.csv"
+        write_matrix(
+            str(path), x,
+            header=[f"s{j}" for j in range(x.n)] if header else None,
+            row_ids=[f"g{i}" for i in range(x.m)] if row_ids else None,
+        )
+        yes_no = {True: "yes", False: "no"}
+        back, _ = ingest(str(path), ParseOptions(header=yes_no[header], row_ids=yes_no[row_ids]))
+        assert back.values.tobytes() == x.values.tobytes()
+
+    def test_peak_memory_near_the_matrix(self, tmp_path):
+        x = np.random.default_rng(123).standard_normal((20000, 63))
+        path = tmp_path / "big.csv"
+        with open(path, "w") as fh:
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in x.tolist())
+        tracemalloc.start()
+        try:
+            got, _ = ingest(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.values, x)
+        # the matrix is 9.6 MiB; parsing it row by row as Python strings peaks near 115 MiB
+        assert peak < 3 * x.nbytes
 
 
 @pytest.fixture
@@ -359,6 +443,18 @@ class TestCli:
         assert "eigenratio_wishart" in text
         assert "bilinear" in text
         assert "fdr scan" in text
+
+    @pytest.mark.parametrize("model", [["blocks", "--gamma", "1.2"], ["spiked", "--lambda", "3"]])
+    def test_simulate_independent_of_workers(self, tmp_path, monkeypatch, model):
+        drawn = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            out = tmp_path / f"draws{cpus}.csv"
+            argv = ["simulate", "--model", *model, "--m", "120", "--n", "8", "--reps", "9", "--seed", "2"]
+            assert main([*argv, "--out", str(out)]) == 0
+            drawn.append(out.read_bytes())
+        assert drawn[0] == drawn[1] == drawn[2]
+        assert drawn[0].count(b"\n") == 10
 
     def test_input_file_not_mutated(self, matrix_file):
         before = open(matrix_file, "rb").read()

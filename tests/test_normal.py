@@ -1,6 +1,11 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import colindep.normal as normal
 from colindep import (
     CalibrationFailure,
     DataMatrix,
@@ -21,6 +26,9 @@ from colindep import (
     two_sample_w,
     within_block_correlation,
 )
+from colindep.correlation import _pair_indices, _pearson_rows, alpha_corrected
+from colindep.matrix import double_standardize
+from colindep.normal import _bartlett_factor, _measured_alpha_sq, _psd_eigenvalues, map_replicates
 
 
 class TestSimulationSpec:
@@ -229,6 +237,129 @@ class TestEigenratioNull:
             eigenratio_null("correlated_rows", reps=5, n=4, seed=0)
         with pytest.raises(InvalidInput):
             eigenratio_null("bootstrap", reps=5, n=4, seed=0, df=10.0)
+
+
+def _substream(seed, rep):
+    return np.random.default_rng(np.random.SeedSequence((seed, rep)))
+
+
+def _on_cpus(monkeypatch, cpus):
+    """Size the replicate pool as an affinity mask of ``cpus`` CPUs would."""
+    monkeypatch.setattr(normal, "_affinity_cpus", lambda: cpus)
+
+
+class TestMapReplicates:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_substreams_land_at_their_index(self, monkeypatch, workers):
+        _on_cpus(monkeypatch, workers)
+        got = map_replicates(lambda rng: rng.random(), 7, seed=5)
+        assert got == [_substream(5, rep).random() for rep in range(7)]
+
+    def test_more_workers_than_cores_under_frequent_switches(self, monkeypatch):
+        def replicate(rng):
+            return float(rng.standard_normal((30, 4)).sum()) + sum(rng.random(8).tolist())
+
+        cores = normal._affinity_cpus()
+        _on_cpus(monkeypatch, 1)
+        expected = map_replicates(replicate, 150, seed=2)
+        _on_cpus(monkeypatch, 4 * cores)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = map_replicates(replicate, 150, seed=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+
+    def test_one_worker_is_a_plain_loop(self, monkeypatch):
+        _on_cpus(monkeypatch, 1)
+        threads = map_replicates(lambda rng: threading.get_ident(), 4, seed=0)
+        assert threads == [threading.get_ident()] * 4
+
+    @pytest.mark.parametrize("cpus, reps, pool", [(3, 10, 3), (3, 2, 2), (1, 10, None)])
+    def test_pool_is_the_affinity_mask(self, monkeypatch, cpus, reps, pool):
+        sizes = []
+
+        class Recording(normal.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(normal, "ThreadPoolExecutor", Recording)
+        assert len(map_replicates(lambda rng: 0, reps, seed=0)) == reps
+        assert sizes == ([] if pool is None else [pool])
+
+    def test_first_failure_in_index_order_is_raised(self, monkeypatch):
+        def replicate(rng):
+            value = rng.random()
+            if value > 0.5:
+                raise ValueError(value)
+            return value
+
+        first = next(r for r in range(20) if _substream(1, r).random() > 0.5)
+        for workers in (1, 3):
+            _on_cpus(monkeypatch, workers)
+            with pytest.raises(ValueError) as err:
+                map_replicates(replicate, 20, seed=1)
+            assert err.value.args[0] == _substream(1, first).random()
+
+
+class TestResultsIndependentOfWorkers:
+    """The nulls and gamma equal the one-thread loop over the same substreams."""
+
+    def test_wishart_null(self, monkeypatch):
+        def oracle(rep):
+            sv = np.linalg.svd(_bartlett_factor(11.5, 9, _substream(4, rep)), compute_uv=False)
+            return sv[0] ** 2 / np.sum(sv * sv)
+
+        expected = np.array([oracle(rep) for rep in range(25)])
+        for workers in (1, 2, 3):
+            _on_cpus(monkeypatch, workers)
+            got = eigenratio_null("wishart", 25, 9, seed=4, df=11.5)
+            assert np.array_equal(got, expected)
+
+    def test_correlated_rows_null(self, monkeypatch):
+        spec = SimulationSpec(m=240, n=9, sigma_model="block", num_blocks=4, gamma=1.1)
+
+        def oracle(rep):
+            z, _ = double_standardize(sample_matrix_normal(spec, _substream(6, rep)))
+            vals = _psd_eigenvalues(z.values.T @ z.values / z.m)
+            return vals[-1] / vals.sum()
+
+        expected = np.array([oracle(rep) for rep in range(25)])
+        for workers in (1, 2, 3):
+            _on_cpus(monkeypatch, workers)
+            got = eigenratio_null("correlated_rows", 25, 9, seed=6, spec=spec)
+            assert np.array_equal(got, expected)
+
+    def test_measured_alpha_sums_in_index_order(self, monkeypatch):
+        spec = SimulationSpec(m=300, n=16, sigma_model="block", num_blocks=5, gamma=0.7,
+                              standardize=True)
+        values = []
+        for rep in range(7):
+            rng = _substream(13, rep)
+            x = sample_matrix_normal(spec, rng)
+            corrs = _pearson_rows(x.values, *_pair_indices(300, 4000, rng))
+            values.append(alpha_corrected(float(corrs.var()), 16)[0])
+        expected = backwards = 0.0
+        for value, reverse in zip(values, reversed(values)):
+            expected += value
+            backwards += reverse
+        # at this seed the sum depends on its order
+        assert backwards != expected
+        for workers in (1, 2, 3):
+            _on_cpus(monkeypatch, workers)
+            assert _measured_alpha_sq(0.7, 300, 16, 5, 7, 13, 4000) == expected / 7
+
+    def test_calibrated_gamma(self, monkeypatch):
+        gammas = {}
+        for workers in (1, 2, 3):
+            _on_cpus(monkeypatch, workers)
+            gammas[workers] = calibrate_gamma(0.2, m=300, n=16, num_blocks=5, reps=3, seed=8,
+                                              pair_count=4000)
+        assert gammas[1] == gammas[2] == gammas[3]
+        assert 0.0 < gammas[1] < 5.0
 
 
 class TestCalibrateGamma:
