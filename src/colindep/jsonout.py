@@ -35,18 +35,24 @@ def write_json(payload, fh: TextIO) -> None:
             return marker
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
-    # the marker must not occur in any other string of the payload
-    for k in itertools.count():
-        marker = f"\x00pairs{k}"
+    try:
+        # the marker must not occur in any other string of the payload
+        for k in itertools.count():
+            marker = f"\x00pairs{k}"
+            reports.clear()
+            parts = json.dumps(payload, sort_keys=True, indent=2, default=mark).split(json.dumps(marker))
+            if len(parts) == len(reports) + 1:
+                break
+        fh.write(parts[0])
+        for report, before, after in zip(reports, parts, parts[1:]):
+            line = before[before.rfind("\n") + 1 :]
+            _write_pairs(report, len(line) - len(line.lstrip(" ")), fh)
+            fh.write(after)
+    finally:
+        # json's indenting encoder leaves a reference cycle that holds
+        # ``mark`` until the garbage collector next runs; emptied, it no
+        # longer keeps the reports' arrays alive past this call
         reports.clear()
-        parts = json.dumps(payload, sort_keys=True, indent=2, default=mark).split(json.dumps(marker))
-        if len(parts) == len(reports) + 1:
-            break
-    fh.write(parts[0])
-    for report, before, after in zip(reports, parts, parts[1:]):
-        line = before[before.rfind("\n") + 1 :]
-        _write_pairs(report, len(line) - len(line.lstrip(" ")), fh)
-        fh.write(after)
 
 
 def dumps(payload) -> str:

@@ -1,7 +1,9 @@
 """The streamed JSON writer gives the bytes ``json.dumps`` gives for the full pair list."""
 
+import gc
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -104,6 +106,19 @@ class TestWriterMatchesJsonDumps:
     def test_unknown_objects_still_rejected(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
             dumps({"a": object()})
+
+    def test_report_freed_without_garbage_collector(self):
+        # json's indenting encoder leaves a cycle holding ``default``; the
+        # report must not stay reachable from it until the collector runs
+        report = two_column_scan()
+        alive = weakref.ref(report)
+        gc.disable()
+        try:
+            dumps({"pairs": report})
+            del report
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_memory_bounded_on_screen_report(self, tmp_path):
         # the parent's to_dict + json.dumps peaked near 620 MB on this report
