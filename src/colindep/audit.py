@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 import warnings
 import zlib
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -97,10 +98,8 @@ class AuditReport:
     version: str = __version__
 
     def to_dict(self, exclude_timings: bool = False, include_pairs: bool = True) -> dict:
-        group_summary = None
-        if self.groups is not None:
-            names = sorted(set(self.groups), key=self.groups.index)
-            group_summary = {name: self.groups.count(name) for name in names}
+        # a Counter keeps its keys in first-seen order
+        group_summary = None if self.groups is None else dict(Counter(self.groups))
         out = {
             "version": self.version,
             "input": {"m": self.m, "n": self.n, "groups": group_summary},
@@ -116,12 +115,16 @@ class AuditReport:
             out["timings"] = self.timings
         return out
 
-    def to_json(self, exclude_timings: bool = False, include_pairs: bool = True) -> str:
-        """``to_dict`` as canonical JSON, with the pair list rendered from its columns."""
+    def _json_payload(self, exclude_timings: bool = False, include_pairs: bool = True) -> dict:
+        # to_dict with the OutlierReport itself where write_json renders its pair list
         payload = self.to_dict(exclude_timings, include_pairs=False)
         if include_pairs and self.outliers is not None:
             payload["outliers"]["pairs"] = self.outliers
-        return dumps(payload)
+        return payload
+
+    def to_json(self, exclude_timings: bool = False, include_pairs: bool = True) -> str:
+        """``to_dict`` as canonical JSON, with the pair list rendered from its columns."""
+        return dumps(self._json_payload(exclude_timings, include_pairs))
 
 
 @dataclass
@@ -228,20 +231,21 @@ def eigenratio_stage(
 
 
 def two_group_contrast(groups: list[str] | None) -> tuple[np.ndarray, int, int]:
-    """Unit-norm contrast ``w`` and group sizes for two contiguous groups.
+    """Unit-norm contrast ``w`` and group sizes for two groups, in any column order.
 
-    The labels must name exactly two groups, all of group one's columns
-    first, then group two's.
+    The labels must name exactly two groups; group one is the first label
+    seen.  ``w`` is the indicator contrast of ``two_sample_w``: -c/n1 on
+    group one's columns and +c/n2 on group two's, so contiguous labels
+    give ``two_sample_w(n1, n2)`` bit for bit.
     """
     if groups is None:
         raise InvalidInput("bilinear test needs group labels")
-    names = sorted(set(groups), key=groups.index)
-    if len(names) != 2:
-        raise InvalidInput(f"bilinear test needs exactly 2 groups, got {len(names)}")
-    n1, n2 = groups.count(names[0]), groups.count(names[1])
-    if groups != [names[0]] * n1 + [names[1]] * n2:
-        raise InvalidInput("group labels must be contiguous: group one first, then group two")
-    return two_sample_w(n1, n2), n1, n2
+    sizes = Counter(groups)
+    if len(sizes) != 2:
+        raise InvalidInput(f"bilinear test needs exactly 2 groups, got {len(sizes)}")
+    (one, n1), (_, n2) = sizes.items()
+    minus, plus = two_sample_w(n1, n2)[[0, -1]]
+    return np.where(np.array(groups) == one, minus, plus), n1, n2
 
 
 def bilinear_stage(ctx: Prepared, groups: list[str] | None) -> dict:
@@ -344,8 +348,7 @@ def emit(report: AuditReport, format: str = "json", include_pairs: bool = True) 
     corr = report.correlation
     group_note = ""
     if report.groups:
-        names = sorted(set(report.groups), key=report.groups.index)
-        group_note = ", groups " + "+".join(str(report.groups.count(g)) for g in names)
+        group_note = ", groups " + "+".join(map(str, Counter(report.groups).values()))
     std = report.standardization
     sweep_note = ""
     if std.deviations:

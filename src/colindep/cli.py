@@ -2,12 +2,14 @@
 
 Subcommands: standardize, permtest, eigenratio-test, bilinear, fdr-scan,
 simulate, audit.  Exit codes: 0 success, 1 usage or parse error, 2
-numerical failure.  Simulated null replicates (the eigenratio nulls,
-gamma calibration and ``simulate``'s block and spiked models) run on
-one thread per CPU in the process's affinity mask, so ``taskset`` or a
-cpuset sets their number; each replicate draws from its own substream,
-so results do not depend on it.  BLAS threads are the BLAS backend's
-(the usual OMP_NUM_THREADS-style variables); no other environment
+numerical failure.  ``main`` writes each subcommand's report once, to
+``--out`` or stdout: text, or JSON streamed through ``jsonout.write_json``
+so no pair list is held as one string.  Simulated null replicates (the
+eigenratio nulls, gamma calibration and ``simulate``'s block and spiked
+models) run on one thread per CPU in the process's affinity mask, so
+``taskset`` or a cpuset sets their number; each replicate draws from its
+own substream, so results do not depend on it.  BLAS threads are the BLAS
+backend's (the usual OMP_NUM_THREADS-style variables); no other environment
 variables are consulted.
 """
 
@@ -15,16 +17,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from contextlib import nullcontext
-from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
 from .audit import (
     AuditConfig,
+    AuditReport,
     Prepared,
     audit,
     bilinear_stage,
@@ -35,16 +38,11 @@ from .audit import (
     prepare,
 )
 from .correlation import c2_from_spectrum
-from .errors import (
-    CalibrationFailure,
-    InvalidInput,
-    NonConvergence,
-    NumericalError,
-    ParseError,
-)
+from .errors import CalibrationFailure, InvalidInput, NonConvergence, NumericalError, ParseError
+from .fdr import OutlierReport
 from .io import ParseOptions, ingest, write_matrix
 from .jsonout import write_json
-from .matrix import double_standardize, spectral
+from .matrix import DataMatrix, double_standardize, spectral
 from .normal import (
     SimulationSpec,
     _psd_eigenvalues,
@@ -95,7 +93,8 @@ def _parse_groups(arg: str | None) -> tuple[int, ...] | None:
     return sizes
 
 
-def _load(args) -> tuple:
+def _load(args, **fields) -> tuple[DataMatrix, list[str] | None, AuditConfig]:
+    """The input, its group labels and the audit config the subcommand implies."""
     opts = ParseOptions(
         delimiter=args.delimiter,
         header=args.header,
@@ -103,21 +102,14 @@ def _load(args) -> tuple:
         group_sizes=_parse_groups(getattr(args, "groups", None)),
         groups_file=getattr(args, "groups_file", None),
     )
-    return ingest(args.input, opts)
+    x, labels = ingest(args.input, opts)
+    return x, labels, AuditConfig(seed=args.seed, tol=args.tol, max_iter=args.max_iter, **fields)
 
 
-def _prepare(args, **config) -> tuple[Prepared, list[str] | None]:
-    """Load and standardize the input under the audit config the subcommand implies."""
-    x, labels = _load(args)
-    cfg = AuditConfig(seed=args.seed, tol=args.tol, max_iter=args.max_iter, **config)
+def _prepare(args, **fields) -> tuple[Prepared, list[str] | None]:
+    """Load and standardize the input under the subcommand's audit config."""
+    x, labels, cfg = _load(args, **fields)
     return prepare(x, cfg), labels
-
-
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -127,49 +119,55 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _emit_dict(payload: dict, args) -> None:
-    if args.format == "json":
-        # streamed, so a scan's pair list is never held as one string
-        with nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as fh:
-            write_json(payload, fh)
+def _write_report(report, fmt: str, out: str | None) -> None:
+    """Write a payload dict, an ``AuditReport`` or a line of text to ``out`` or stdout.
+
+    Text is ``emit``'s table for an audit and ``key: value`` lines of a payload's scalars.
+    """
+    if isinstance(report, AuditReport):
+        report = report._json_payload() if fmt == "json" else emit(report, format="text")
+    elif isinstance(report, dict) and fmt == "text":
+        lines = [f"{k}: {v}" for k, v in report.items() if not isinstance(v, (list, dict, OutlierReport))]
+        report = "\n".join(lines)
+    with nullcontext(sys.stdout) if out is None else open(out, "w") as fh:
+        if isinstance(report, str):
+            fh.write(report if report.endswith("\n") else report + "\n")
+        else:
+            write_json(report, fh)
             fh.write("\n")
-    else:
-        lines = [f"{k}: {v}" for k, v in payload.items() if not isinstance(v, (list, dict))]
-        _write_output("\n".join(lines), args.out)
 
 
-def _emit_test(entry: dict, nulls: np.ndarray, args) -> int:
-    if args.null_out:
-        _write_csv(args.null_out, ["null_sample"], ([repr(float(v))] for v in nulls))
-    _emit_dict(entry, args)
-    return 0
+def _with_nulls(stage: tuple[dict, np.ndarray], path: str | None) -> dict:
+    """A test stage's report entry, after writing its null sample to ``path`` if given."""
+    entry, nulls = stage
+    if path:
+        _write_csv(path, ["null_sample"], ([repr(float(v))] for v in nulls))
+    return entry
 
 
-def _cmd_standardize(args) -> int:
+def _cmd_standardize(args) -> dict:
     ctx, _ = _prepare(args)
     if args.matrix_out:
         write_matrix(args.matrix_out, ctx.z)
-    _emit_dict({"m": ctx.z.m, "n": ctx.z.n, **ctx.info.to_dict(), "matrix_out": args.matrix_out}, args)
-    return 0
+    return {"m": ctx.z.m, "n": ctx.z.n, **ctx.info.to_dict(), "matrix_out": args.matrix_out}
 
 
-def _cmd_permtest(args) -> int:
+def _cmd_permtest(args) -> dict:
     ctx, _ = _prepare(args, L=args.L, min_block=args.min_block, max_block=args.max_block)
-    return _emit_test(*perm_stage(ctx, args.stat, conservative=args.conservative), args)
+    return _with_nulls(perm_stage(ctx, args.stat, conservative=args.conservative), args.null_out)
 
 
-def _cmd_eigenratio(args) -> int:
+def _cmd_eigenratio(args) -> dict:
     ctx, _ = _prepare(args, eigen_reps=args.reps, sim_m=args.sim_m, sim_blocks=args.blocks)
-    return _emit_test(*eigenratio_stage(ctx, args.null, gamma=args.gamma), args)
+    return _with_nulls(eigenratio_stage(ctx, args.null, gamma=args.gamma), args.null_out)
 
 
-def _cmd_bilinear(args) -> int:
+def _cmd_bilinear(args) -> dict:
     ctx, labels = _prepare(args)
-    _emit_dict(bilinear_stage(ctx, labels), args)
-    return 0
+    return bilinear_stage(ctx, labels)
 
 
-def _cmd_fdr_scan(args) -> int:
+def _cmd_fdr_scan(args) -> dict:
     null = {"corr": "correlation", "gauss": "gaussian"}[args.null]
     ctx, _ = _prepare(args, q=args.q, fdr_null=null)
     out = fdr_stage(ctx, args.mtilde, two_sided=args.two_sided)
@@ -177,14 +175,10 @@ def _cmd_fdr_scan(args) -> int:
         counts, edges = np.histogram(out.r, bins=args.bins, range=(-1.0, 1.0))
         rows = zip(map(repr, edges[:-1].tolist()), map(repr, edges[1:].tolist()), counts.tolist())
         _write_csv(args.hist_out, ["bin_left", "bin_right", "count"], rows)
-    payload = out.to_dict(include_pairs=False)
-    if args.format == "json":
-        payload["pairs"] = out
-    _emit_dict(payload, args)
-    return 0
+    return {**out.to_dict(include_pairs=False), "pairs": out}
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> str:
     if args.out is None:
         raise InvalidInput("simulate requires --out for the draw file")
     if args.model == "wishart":
@@ -216,27 +210,15 @@ def _cmd_simulate(args) -> int:
 
         rows = map_replicates(replicate, args.reps, args.seed)
     _write_csv(args.out, ["eigenratio", "c2", "trace"], ([repr(v) for v in row] for row in rows))
-    sys.stdout.write(f"wrote {len(rows)} replicates to {args.out}\n")
-    return 0
+    return f"wrote {len(rows)} replicates to {args.out}"
 
 
-def _cmd_audit(args) -> int:
-    x, labels = _load(args)
-    cfg = AuditConfig(
-        seed=args.seed,
-        L=args.L,
-        eigen_reps=args.reps,
-        q=args.q,
-        min_block=args.min_block,
-        max_block=args.max_block,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        fdr_null=args.fdr_null,
-        bilinear=True if args.bilinear else None,
+def _cmd_audit(args) -> AuditReport:
+    x, labels, cfg = _load(
+        args, L=args.L, eigen_reps=args.reps, q=args.q, min_block=args.min_block,
+        max_block=args.max_block, fdr_null=args.fdr_null, bilinear=args.bilinear or None,
     )
-    report = audit(x, cfg, groups=labels)
-    _write_output(emit(report, format=args.format), args.out)
-    return 0
+    return audit(x, cfg, groups=labels)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,22 +298,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: each build leaves argparse's formatters and
+    # actions as cyclic garbage, and parsing does not change the parser
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit status 2 for usage errors; this tool reserves
         # 2 for numerical failures, so remap
         return 1 if exc.code == 2 else int(exc.code or 0)
+    # simulate's --out names its draw file, so its summary line goes to stdout
+    fmt, out = ("text", None) if args.command == "simulate" else (args.format, args.out)
     try:
-        return args.func(args)
+        _write_report(args.func(args), fmt, out)
     except _USAGE_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except _NUMERICAL_ERRORS as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -144,7 +144,7 @@ def _load_body(p: Path, delim: str, opts: ParseOptions) -> np.ndarray | None:
     """
     if opts.header not in _CHOICES or opts.row_ids not in _CHOICES:
         return None
-    with open(p, newline="") as fh:
+    with open(p, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delim)
         rows = filter(None, reader)
         first = next(rows, None)
@@ -153,7 +153,7 @@ def _load_body(p: Path, delim: str, opts: ParseOptions) -> np.ndarray | None:
     if second is None:
         return None
     has_header, has_ids = _layout(first, opts.row_ids == "auto" and _is_label(second[0]), opts)
-    with open(p, newline="") as fh:
+    with open(p, newline="", encoding="utf-8-sig") as fh:
         for _ in range(header_lines if has_header else 0):
             next(fh)
         try:
@@ -170,7 +170,7 @@ def _load_body(p: Path, delim: str, opts: ParseOptions) -> np.ndarray | None:
 
 def _parse_rows(p: Path, delim: str, opts: ParseOptions) -> np.ndarray:
     """The data cells parsed row by row, with the ParseError of the first bad cell."""
-    with open(p, newline="") as fh:
+    with open(p, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh, delimiter=delim) if row]
     if not rows:
         raise ParseError("empty file")

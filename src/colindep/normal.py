@@ -20,6 +20,7 @@ import numpy as np
 from .correlation import alpha_corrected, _pair_indices, _pearson_rows
 from .errors import CalibrationFailure, InvalidInput
 from .matrix import DataMatrix, SpectralSummary, _standardize_axis, double_standardize
+from .permutation import _null_rng
 
 _SIGMA_MODELS = ("identity", "block")
 _DELTA_MODELS = ("identity", "spiked")
@@ -229,7 +230,7 @@ def map_replicates(
     workers = min(reps, _affinity_cpus())
 
     def one(rep: int):
-        return fn(np.random.default_rng(np.random.SeedSequence((seed, rep))))
+        return fn(_null_rng(seed, rep))
 
     if workers <= 1:
         return [one(rep) for rep in range(reps)]

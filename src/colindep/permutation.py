@@ -177,7 +177,8 @@ def mc_pvalue(nulls: np.ndarray, s_obs: float, conservative: bool = False) -> tu
 
 
 def _null_rng(seed: int, replicate: int) -> np.random.Generator:
-    # substream per replicate: results do not depend on evaluation order
+    # substream (seed, replicate) of every permutation and simulated null:
+    # results depend neither on evaluation order nor on the worker count
     return np.random.default_rng(np.random.SeedSequence((seed, replicate)))
 
 

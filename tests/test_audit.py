@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 
@@ -14,6 +15,7 @@ from colindep import (
     emit,
     sample_matrix_normal,
     stage_seed,
+    two_sample_w,
 )
 
 
@@ -57,11 +59,23 @@ class TestAudit:
         with pytest.raises(InvalidInput):
             audit(x, desk_config(bilinear=True))
 
-    def test_noncontiguous_groups_recorded_as_error(self):
-        rng = np.random.default_rng(132)
-        x = DataMatrix(rng.standard_normal((60, 4)))
-        report = audit(x, desk_config(), groups=["a", "b", "a", "b"])
-        assert "bilinear" in report.errors
+    def test_interleaved_groups_match_permuted_contiguous(self):
+        x = np.random.default_rng(132).standard_normal((60, 6))
+        labels = ["b", "a", "a", "b", "a", "a"]
+        order = [0, 3, 1, 2, 4, 5]  # group b, seen first, then group a
+        entries = [
+            next(t for t in report.tests if t["method"] == "bilinear")
+            for report in (
+                audit(DataMatrix(x), desk_config(), groups=labels),
+                audit(DataMatrix(x[:, order]), desk_config(), groups=[labels[j] for j in order]),
+            )
+        ]
+        assert [(e["n1"], e["n2"]) for e in entries] == [(2, 4), (2, 4)]
+        assert abs(entries[0]["tau_hat"] - entries[1]["tau_hat"]) < 1e-12
+        # contiguous labels give two_sample_w bit for bit
+        contrast = importlib.import_module("colindep.audit").two_group_contrast
+        w, n1, n2 = contrast(["b"] * 2 + ["a"] * 4)
+        assert (n1, n2) == (2, 4) and w.tobytes() == two_sample_w(2, 4).tobytes()
 
     def test_determinism_excluding_timings(self):
         rng = np.random.default_rng(133)

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import tracemalloc
 import weakref
 
@@ -211,3 +212,53 @@ class TestCliJson:
         assert main(["audit", seven_columns, "--L", "20", "--reps", "5"]) == 0
         assert len(json.loads(capsys.readouterr().out)["outliers"]["pairs"]) == 21
 
+
+#: the timings block of an audit report, the one part that differs run to run
+_TIMINGS = re.compile(r'\n  "timings": \{.*?\n  \},', re.S)
+
+
+class TestOneWriter:
+    """Every subcommand's report reaches stdout and --out as the same bytes."""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["standardize"],
+            ["permtest", "--stat", "block", "--L", "30"],
+            ["eigenratio-test", "--null", "blocks", "--reps", "6", "--sim-m", "60"],
+            ["bilinear", "--groups", "4,3"],
+            ["fdr-scan", "--two-sided"],
+            ["audit", "--L", "20", "--reps", "5", "--groups", "4,3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_stdout_equals_out(self, seven_columns, tmp_path, capsys, argv, fmt):
+        command = [argv[0], seven_columns, *argv[1:], "--seed", "4", "--format", fmt]
+        out = tmp_path / "report"
+        assert main([*command, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(command) == 0
+        written, printed = out.read_text(), capsys.readouterr().out
+        if argv[0] == "audit" and fmt == "json":
+            (written, one), (printed, two) = _TIMINGS.subn("", written), _TIMINGS.subn("", printed)
+            assert one == two == 1
+        assert written == printed and written.endswith("\n")
+
+    def test_simulate_summary_to_stdout(self, tmp_path, capsys):
+        out = tmp_path / "draws.csv"
+        assert main(["simulate", "--model", "wishart", "--df", "9", "--n", "4", "--reps", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 3 replicates to {out}\n"
+
+    def test_audit_report_streamed(self, tmp_path, monkeypatch):
+        # rendered into one string, a report of 179,700 pairs peaked at three times its size
+        path, out = tmp_path / "wide.csv", tmp_path / "audit.json"
+        write_matrix(str(path), DataMatrix(np.random.default_rng(10).standard_normal((100, 600))))
+        monkeypatch.setattr(jsonout, "_PAIR_CHUNK", 1000)
+        tracemalloc.start()
+        try:
+            assert main(["audit", str(path), "--L", "20", "--reps", "4", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size
