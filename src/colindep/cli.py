@@ -58,7 +58,10 @@ _NUMERICAL_ERRORS = (NonConvergence, NumericalError, CalibrationFailure, np.lina
 
 def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    p.add_argument("--out", default=None, help="write the report here instead of stdout")
+    # only simulate takes no input; its --out is the draw file
+    out_help = ("write the report here instead of stdout" if needs_input
+                else "write the draws here as CSV (required); the summary line goes to stdout")
+    p.add_argument("--out", default=None, help=out_help)
     if needs_input:
         p.add_argument("input", help="CSV/TSV matrix, rows = features, columns = samples")
         p.add_argument("--delimiter", default=None, help="field delimiter (default: by extension)")

@@ -57,7 +57,8 @@ def _parse_cell(token: str, row: int, col: int) -> float:
 
 
 def _read_group_labels(path: str, n: int) -> list[str]:
-    labels = [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
+    text = Path(path).read_text(encoding="utf-8-sig")
+    labels = [line.strip() for line in text.splitlines() if line.strip()]
     if len(labels) != n:
         raise ParseError(f"groups file has {len(labels)} labels for {n} columns")
     return labels
@@ -96,7 +97,9 @@ def ingest(path: str, options: ParseOptions | None = None) -> tuple[DataMatrix, 
     if values is None:
         values = _parse_rows(p, delim, opts)
 
-    matrix = DataMatrix(values, "raw")
+    # the parsed array is this call's own: adopted after the checks of
+    # DataMatrix, without its defensive copy
+    matrix = DataMatrix._adopt_checked(values, "raw")
     labels: list[str] | None = None
     if opts.groups_file is not None:
         labels = _read_group_labels(opts.groups_file, matrix.n)

@@ -45,12 +45,7 @@ class DataMatrix:
 
     def __post_init__(self):
         a = np.array(self.values, dtype=float)
-        if a.ndim != 2:
-            raise InvalidInput(f"expected a 2-d array, got ndim={a.ndim}")
-        if a.shape[0] < 2 or a.shape[1] < 2:
-            raise InvalidInput(f"matrix must be at least 2x2, got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidInput("matrix entries must be finite")
+        _check_values(a)
         if self.state not in _STATES:
             raise InvalidInput(f"unknown state {self.state!r}")
         a.setflags(write=False)
@@ -65,6 +60,19 @@ class DataMatrix:
         object.__setattr__(x, "values", a)
         object.__setattr__(x, "state", state)
         return x
+
+    @classmethod
+    def _adopt_checked(cls, a: np.ndarray, state: str) -> DataMatrix:
+        # _adopt after the checks of __init__, for a float array nothing else holds
+        _check_values(a)
+        return cls._adopt(a, state)
+
+    def _scratch(self) -> DataMatrix:
+        # mark a matrix that nothing else holds as scratch: its values turn
+        # writeable, and double_standardize overwrites them instead of
+        # copying; only an array that owns its data can be made writeable
+        self.values.setflags(write=True)
+        return self
 
     @property
     def m(self) -> int:
@@ -103,6 +111,15 @@ class DataMatrix:
                 raise InvalidInput(
                     f"state {self.state!r} violated: {name} deviate by {dev:.3g} > {tol:.3g}"
                 )
+
+
+def _check_values(a: np.ndarray) -> None:
+    if a.ndim != 2:
+        raise InvalidInput(f"expected a 2-d array, got ndim={a.ndim}")
+    if a.shape[0] < 2 or a.shape[1] < 2:
+        raise InvalidInput(f"matrix must be at least 2x2, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInput("matrix entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -181,23 +198,40 @@ def _axis_mean_square(a: np.ndarray, axis: int) -> np.ndarray:
     return np.einsum("ij,ij->j" if axis == 0 else "ij,ij->i", a, a) / a.shape[axis]
 
 
-def _axis_deviation(a: np.ndarray, axis: int) -> float:
-    # largest |mean| or |variance - 1| along axis, without a temporary
+def _axis_moments(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    # mean and variance along axis in two reductions: variance = mean square - mean^2
     mean = _axis_mean(a, axis)
-    var = _axis_mean_square(a, axis) - mean * mean
+    return mean, _axis_mean_square(a, axis) - mean * mean
+
+
+def _deviation(mean: np.ndarray, var: np.ndarray) -> float:
+    # largest |mean| or |variance - 1|
     return float(max(np.abs(mean).max(), np.abs(var - 1.0).max()))
 
 
-def _standardize_axis(a: np.ndarray, axis: int) -> np.ndarray:
+def _axis_deviation(a: np.ndarray, axis: int) -> float:
+    return _deviation(*_axis_moments(a, axis))
+
+
+def _standardize_axis(
+    a: np.ndarray, axis: int, mean: np.ndarray | None = None, var: np.ndarray | None = None
+) -> np.ndarray:
     """Standardize ``a`` in place along ``axis`` (0: columns, 1: rows) and return it.
 
-    Population variance.  An axis whose sd is at most 1e-12·(|mean|+1)
-    raises DegenerateAxis with its first index; ``a`` is then left
-    partly centred.
+    Population variance.  ``mean`` and ``var``, when given, are the
+    axis moments measured already, so no reduction retakes them;
+    without ``var`` the variance is the mean square after centring,
+    which keeps its precision under large offsets.  An axis whose sd is
+    at most 1e-12·(|mean|+1), or whose variance is negative, raises
+    DegenerateAxis with its first index; ``a`` is then left partly
+    centred.
     """
-    mean = _axis_mean(a, axis)
+    if mean is None:
+        mean = _axis_mean(a, axis)
     a -= np.expand_dims(mean, axis)
-    sd = np.sqrt(_axis_mean_square(a, axis))
+    if var is None:
+        var = _axis_mean_square(a, axis)
+    sd = np.sqrt(np.maximum(var, 0.0))
     bad = np.nonzero(sd <= 1e-12 * (np.abs(mean) + 1.0))[0]
     if bad.size:
         raise DegenerateAxis("column" if axis == 0 else "row", int(bad[0]))
@@ -227,11 +261,16 @@ def double_standardize(
     row/column variance within ``tol`` of 1.  A matrix that already
     satisfies those conditions is returned unchanged with 0 iterations.
 
-    Each sweep standardizes one private copy in place.  Its second step
-    leaves its own axis exact to rounding, so the stop test reads the
-    means and variances of the axis standardized first, and those of
-    the second axis only once the first meets ``tol``: that rounding
-    grows with how close to constant an axis was before its step.
+    Each sweep standardizes one private copy in place; a matrix handed
+    over with ``_scratch`` is standardized in place instead.  Its second
+    step leaves its own axis exact to rounding, so the stop test reads
+    the means and variances of the axis standardized first, and those
+    of the second axis only once the first meets ``tol``: that rounding
+    grows with how close to constant an axis was before its step.  The
+    next sweep's first step reuses those moments (variance = mean
+    square − mean²), so a sweep makes four reductions and four in-place
+    updates.  The first sweep centres before it takes the sum of
+    squares, so inputs with large offsets keep their precision.
 
     Parameters
     ----------
@@ -250,16 +289,22 @@ def double_standardize(
         raise InvalidInput(f"order must be 'col_first' or 'row_first', got {order!r}")
     if max_iter < 1:
         raise InvalidInput("max_iter must be at least 1")
-    dev = max(_axis_deviation(x.values, 0), _axis_deviation(x.values, 1))
-    if dev < tol:
-        return DataMatrix._adopt(x.values, "double_std"), StandardizeInfo(0, dev, order)
     first, second = (0, 1) if order == "col_first" else (1, 0)
-    a = x.values.copy()
+    a = x.values
+    mean, var = _axis_moments(a, first)
+    dev = _deviation(mean, var)
+    if dev < tol:
+        dev = max(dev, _axis_deviation(a, second))
+        if dev < tol:
+            return DataMatrix._adopt(a, "double_std"), StandardizeInfo(0, dev, order)
+    if not a.flags.writeable:
+        a = a.copy()
     deviations = []
     for it in range(1, max_iter + 1):
-        _standardize_axis(a, axis=first)
-        _standardize_axis(a, axis=second)
-        dev = _axis_deviation(a, first)
+        _standardize_axis(a, first, mean, var if it > 1 else None)
+        _standardize_axis(a, second)
+        mean, var = _axis_moments(a, first)
+        dev = _deviation(mean, var)
         if dev < tol:
             dev = max(dev, _axis_deviation(a, second))
         deviations.append(dev)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .correlation import alpha_corrected, _pair_indices, _pearson_rows
+from .correlation import alpha_corrected, _pair_indices, _standardized_row_products
 from .errors import CalibrationFailure, InvalidInput
 from .matrix import DataMatrix, SpectralSummary, _standardize_axis, double_standardize
 from .permutation import _null_rng
@@ -125,14 +125,23 @@ def sample_matrix_normal(spec: SimulationSpec, rng: np.random.Generator | None =
         # explicit gamma scaling keeps draws continuous in gamma under
         # common random numbers, which the calibrator relies on
         effects = spec.gamma * rng.standard_normal((spec.num_blocks, spec.n))
-        y = y + effects[block_labels(spec.m, spec.num_blocks)]
+        if not np.all(np.isfinite(effects)):
+            raise InvalidInput("matrix entries must be finite")
+        # each block's effect row is added in place to the rows that
+        # block_labels gives it: equal slices, the remainder in the last
+        size = spec.m // spec.num_blocks
+        for b, row in enumerate(effects):
+            stop = (b + 1) * size if b < spec.num_blocks - 1 else spec.m
+            y[b * size : stop] += row
     if spec.delta_model == "spiked":
         y = y @ _spiked_root(spec.spike_lambda, spec.spike_beta)
+        if not np.all(np.isfinite(y)):
+            raise InvalidInput("matrix entries must be finite")
     state = "raw"
     if spec.standardize:
         y = _standardize_axis(y, axis=0)
         state = "col_std"
-    return DataMatrix(y, state)
+    return DataMatrix._adopt(y, state)
 
 
 def _bartlett_factor(df: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -212,6 +221,19 @@ def _affinity_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _pool_map(fn: Callable[[int], object], count: int) -> list:
+    # [fn(0), ..., fn(count - 1)] on one thread per CPU in the affinity
+    # mask, never more than count; a plain loop with one worker
+    workers = min(count, _affinity_cpus())
+    if workers <= 1:
+        return [fn(k) for k in range(count)]
+    pool = ThreadPoolExecutor(workers)
+    try:
+        return list(pool.map(fn, range(count)))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def map_replicates(
     fn: Callable[[np.random.Generator], object],
     reps: int,
@@ -227,18 +249,7 @@ def map_replicates(
     must not mutate shared state; then each result, landing at its
     index, does not depend on the worker count.
     """
-    workers = min(reps, _affinity_cpus())
-
-    def one(rep: int):
-        return fn(_null_rng(seed, rep))
-
-    if workers <= 1:
-        return [one(rep) for rep in range(reps)]
-    pool = ThreadPoolExecutor(workers)
-    try:
-        return list(pool.map(one, range(reps)))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return _pool_map(lambda rep: fn(_null_rng(seed, rep)), reps)
 
 
 def eigenratio_null(
@@ -278,7 +289,8 @@ def eigenratio_null(
             raise InvalidInput(f"spec.n={spec.n} does not match n={n}")
 
         def replicate(rng: np.random.Generator) -> float:
-            z, _ = double_standardize(sample_matrix_normal(spec, rng))
+            # the draw is this replicate's own, so it is standardized in place
+            z, _ = double_standardize(sample_matrix_normal(spec, rng)._scratch())
             vals = _psd_eigenvalues(z.values.T @ z.values / z.m)
             return vals[-1] / vals.sum()
 
@@ -287,30 +299,52 @@ def eigenratio_null(
     return np.array(map_replicates(replicate, reps, seed), dtype=float)
 
 
+def _calibration_pairs(
+    m: int, n: int, num_blocks: int, reps: int, seed: int, pair_count: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each calibration replicate's row pairs, which do not depend on gamma.
+
+    Replicate r draws its matrix and then its pairs from substream
+    (seed, r); the matrix is drawn here only to reach the pairs.
+    """
+    count = min(pair_count, m * (m - 1) // 2)
+    spec = SimulationSpec(m=m, n=n, sigma_model="block", num_blocks=num_blocks)
+
+    def replicate(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        sample_matrix_normal(spec, rng)
+        return _pair_indices(m, count, rng)
+
+    return map_replicates(replicate, reps, seed)
+
+
 def _measured_alpha_sq(
     gamma: float,
     m: int,
     n: int,
     num_blocks: int,
-    reps: int,
     seed: int,
-    pair_count: int,
+    pairs: list[tuple[np.ndarray, np.ndarray]],
 ) -> float:
-    """Monte Carlo estimate of alpha^2 for the column-standardized block model."""
-    count = min(pair_count, m * (m - 1) // 2)
+    """Monte Carlo estimate of alpha^2 for the column-standardized block model.
+
+    Replicate r redraws its matrix at ``gamma`` from substream (seed, r),
+    standardizes its columns and then its rows in place, and correlates
+    its cached ``pairs[r]`` as mean products of standardized rows.
+    """
     spec = SimulationSpec(
         m=m, n=n, sigma_model="block", num_blocks=num_blocks, gamma=gamma, standardize=True,
     )
 
-    def replicate(rng: np.random.Generator) -> float:
-        x = sample_matrix_normal(spec, rng)
-        corrs = _pearson_rows(x.values, *_pair_indices(m, count, rng))
+    def replicate(rep: int) -> float:
+        x = sample_matrix_normal(spec, _null_rng(seed, rep))._scratch()
+        _standardize_axis(x.values, axis=1)
+        corrs = _standardized_row_products(x.values, *pairs[rep])
         return alpha_corrected(float(corrs.var()), n)[0]
 
     est = 0.0
-    for corrected in map_replicates(replicate, reps, seed):  # in index order
+    for corrected in _pool_map(replicate, len(pairs)):  # in index order
         est += corrected
-    return est / reps
+    return est / len(pairs)
 
 
 def calibrate_gamma(
@@ -332,16 +366,19 @@ def calibrate_gamma(
     estimator.  The same random numbers are reused at every trial gamma
     (the block effects enter as an explicit gamma scaling), making the
     measured alpha a continuous increasing function of gamma that plain
-    bisection can invert.  Requires n >= 6 for the corrected estimator.
+    bisection can invert.  Each replicate's row pairs are drawn once and
+    reused at every gamma; its matrix is redrawn at each gamma and not
+    kept.  Requires n >= 6 for the corrected estimator.
     """
     if not 0.0 <= target_alpha < 1.0:
         raise InvalidInput("target_alpha must lie in [0, 1)")
     if target_alpha == 0.0:
         return 0.0
     target_sq = target_alpha * target_alpha
+    pairs = _calibration_pairs(m, n, num_blocks, reps, seed, pair_count)
 
     def measure(g: float) -> float:
-        return _measured_alpha_sq(g, m, n, num_blocks, reps, seed, pair_count)
+        return _measured_alpha_sq(g, m, n, num_blocks, seed, pairs)
 
     lo, hi = 0.0, gamma_max
     f_hi = measure(hi)

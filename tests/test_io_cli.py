@@ -12,7 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from colindep import ColindepError, DataMatrix, ParseError, ParseOptions, cli, ingest, write_matrix
+from colindep import (
+    ColindepError, DataMatrix, InvalidInput, ParseError, ParseOptions, cli, ingest, write_matrix,
+)
 from colindep.cli import build_parser, main
 
 
@@ -136,6 +138,27 @@ class TestIngest:
         gpath.write_text("healthy\nsick\n")
         with pytest.raises(ParseError):
             ingest(str(path), ParseOptions(groups_file=str(gpath)))
+
+    def test_groups_file_after_byte_order_mark(self, tmp_path):
+        # a UTF-8 byte-order mark is no part of the first label
+        path = tmp_path / "m.csv"
+        path.write_text("1,2,3,4\n5,6,7,8\n")
+        gpath = tmp_path / "groups.txt"
+        gpath.write_text("\ufeffa\na\nb\nb\n", encoding="utf-8")
+        _, labels = ingest(str(path), ParseOptions(groups_file=str(gpath)))
+        assert labels == ["a", "a", "b", "b"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,inf\n3,4\n", "matrix entries must be finite"),
+        ("1,2,3\n", "matrix must be at least 2x2, got (1, 3)"),
+        ("1\n2\n3\n", "matrix must be at least 2x2, got (3, 1)"),
+    ])
+    def test_adopted_matrix_keeps_the_checks(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidInput) as err:
+            ingest(str(path))
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("text, row, column", [
         ("1.5,NA,3.0\n4,5,6\n7,8,9\n", 1, 2),
@@ -281,6 +304,25 @@ class TestIngestRoundTrip:
         # the matrix is 9.6 MiB; parsing it row by row as Python strings peaks near 115 MiB
         assert peak < 3 * x.nbytes
 
+    @pytest.mark.parametrize("row_ids", [False, True])
+    def test_parsed_array_adopted_without_a_copy(self, tmp_path, row_ids):
+        # a copy into DataMatrix would peak near twice the matrix
+        x = np.random.default_rng(124).standard_normal((20000, 63))
+        path = tmp_path / "big.csv"
+        lead = (lambda i: f"g{i},") if row_ids else (lambda i: "")
+        with open(path, "w") as fh:
+            fh.write(lead("") + ",".join(f"s{j}" for j in range(63)) + "\n")
+            fh.writelines(lead(i) + ",".join(map(repr, row)) + "\n" for i, row in enumerate(x.tolist()))
+        tracemalloc.start()
+        try:
+            got, _ = ingest(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.values, x)
+        assert not got.values.flags.writeable
+        assert peak < 1.5 * x.nbytes
+
 
 @pytest.fixture
 def matrix_file(tmp_path):
@@ -395,6 +437,12 @@ class TestCli:
         assert len(rows) == 5
         # a strong spike concentrates spectral mass in the top eigenvalue
         assert all(float(r[0]) > 1.0 / 6 for r in rows[1:])
+
+    def test_simulate_help_names_the_draw_file(self, capsys):
+        assert main(["simulate", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--out OUT write the draws here as CSV (required)" in help_text
+        assert "instead of stdout" not in help_text
 
     def test_simulate_requires_out(self):
         assert main(["simulate", "--model", "wishart", "--df", "10", "--n", "4"]) == 1

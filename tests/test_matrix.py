@@ -306,6 +306,15 @@ class TestFusedSweepMatchesOracle:
             tracemalloc.stop()
         assert peak < 1.5 * x.values.nbytes
 
+    def test_scratch_matrix_standardized_in_place(self):
+        a = np.random.default_rng(44).standard_normal((60, 9)) + 3.0
+        want, want_info = double_standardize(DataMatrix(a))
+        x = DataMatrix(a)
+        z, info = double_standardize(x._scratch())
+        assert np.shares_memory(z.values, x.values)
+        assert not z.values.flags.writeable
+        assert np.array_equal(z.values, want.values) and info == want_info
+
     def test_input_left_untouched(self):
         a = np.random.default_rng(42).standard_normal((30, 7)) + 5.0
         x = DataMatrix(a)

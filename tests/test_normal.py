@@ -26,8 +26,10 @@ from colindep import (
     two_sample_w,
     within_block_correlation,
 )
-from colindep.correlation import _pair_indices, _pearson_rows, alpha_corrected
-from colindep.matrix import double_standardize
+from colindep.correlation import (
+    _pair_indices, _pearson_rows, _standardized_row_products, alpha_corrected,
+)
+from colindep.matrix import double_standardize, standardize_rows
 from colindep.normal import _bartlett_factor, _measured_alpha_sq, _psd_eigenvalues, map_replicates
 
 
@@ -57,6 +59,20 @@ class TestSimulationSpec:
 
 
 class TestSampleMatrixNormal:
+    @pytest.mark.parametrize("m, blocks", [(2000, 5), (23, 4), (7, 7), (9, 1)])
+    def test_block_draw_bit_identical_to_gathered_effects(self, m, blocks):
+        # the effects are added block by block in place; the oracle gathers them per row
+        spec = SimulationSpec(m=m, n=6, sigma_model="block", num_blocks=blocks, gamma=1.3, seed=m)
+        rng = np.random.default_rng(np.random.SeedSequence(m))
+        y = rng.standard_normal((m, 6))
+        want = y + 1.3 * rng.standard_normal((blocks, 6))[block_labels(m, blocks)]
+        assert sample_matrix_normal(spec).values.tobytes() == want.tobytes()
+
+    def test_nonfinite_effects_rejected(self):
+        spec = SimulationSpec(m=10, n=3, sigma_model="block", num_blocks=2, gamma=float("inf"))
+        with pytest.raises(InvalidInput, match="must be finite"):
+            sample_matrix_normal(spec)
+
     def test_iid_moments(self):
         spec = SimulationSpec(m=1000, n=1000, seed=80)
         x = sample_matrix_normal(spec)
@@ -336,11 +352,12 @@ class TestResultsIndependentOfWorkers:
     def test_measured_alpha_sums_in_index_order(self, monkeypatch):
         spec = SimulationSpec(m=300, n=16, sigma_model="block", num_blocks=5, gamma=0.7,
                               standardize=True)
-        values = []
+        values, pairs = [], []
         for rep in range(7):
             rng = _substream(13, rep)
-            x = sample_matrix_normal(spec, rng)
-            corrs = _pearson_rows(x.values, *_pair_indices(300, 4000, rng))
+            x = standardize_rows(sample_matrix_normal(spec, rng))
+            pairs.append(_pair_indices(300, 4000, rng))
+            corrs = _standardized_row_products(x.values, *pairs[-1])
             values.append(alpha_corrected(float(corrs.var()), 16)[0])
         expected = backwards = 0.0
         for value, reverse in zip(values, reversed(values)):
@@ -350,7 +367,7 @@ class TestResultsIndependentOfWorkers:
         assert backwards != expected
         for workers in (1, 2, 3):
             _on_cpus(monkeypatch, workers)
-            assert _measured_alpha_sq(0.7, 300, 16, 5, 7, 13, 4000) == expected / 7
+            assert _measured_alpha_sq(0.7, 300, 16, 5, 13, pairs) == expected / 7
 
     def test_calibrated_gamma(self, monkeypatch):
         gammas = {}
@@ -360,6 +377,63 @@ class TestResultsIndependentOfWorkers:
                                               pair_count=4000)
         assert gammas[1] == gammas[2] == gammas[3]
         assert 0.0 < gammas[1] < 5.0
+
+
+def _oracle_alpha_sq(gamma, m, n, num_blocks, reps, seed, pair_count):
+    """The calibration measurement before cached pairs: a fresh draw and pairs at every gamma."""
+    count = min(pair_count, m * (m - 1) // 2)
+    spec = SimulationSpec(m=m, n=n, sigma_model="block", num_blocks=num_blocks, gamma=gamma,
+                          standardize=True)
+    est = 0.0
+    for rep in range(reps):
+        rng = _substream(seed, rep)
+        x = sample_matrix_normal(spec, rng)
+        corrs = _pearson_rows(x.values, *_pair_indices(m, count, rng))
+        est += alpha_corrected(float(corrs.var()), n)[0]
+    return est / reps
+
+
+def _oracle_calibrate(target, m, n, num_blocks, reps, seed, pair_count, tol=0.005):
+    """Bisection as in calibrate_gamma; returns gamma and the measured alpha^2 there."""
+    measure = lambda g: _oracle_alpha_sq(g, m, n, num_blocks, reps, seed, pair_count)
+    lo, hi = 0.0, 5.0
+    assert measure(hi) >= target * target
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        f_mid = measure(mid)
+        if abs(np.sqrt(f_mid) - target) <= 0.5 * tol or hi - lo < 1e-4:
+            return mid, f_mid
+        lo, hi = (mid, hi) if f_mid < target * target else (lo, mid)
+    raise AssertionError("oracle bisection did not stop")
+
+
+class TestCalibrationMatchesOracle:
+    """Cached pairs and standardized-row products give the oracle's gamma."""
+
+    @pytest.mark.parametrize("target, m, n, reps, seed, pair_count", [
+        (0.241, 2000, 63, 4, 5, 20_000),
+        (0.2, 300, 16, 3, 8, 4000),
+        (0.18, 400, 24, 2, 96, 8000),
+        (0.3, 500, 30, 3, 31, 6000),
+    ])
+    def test_same_gamma_and_alpha(self, target, m, n, reps, seed, pair_count):
+        want_gamma, want_sq = _oracle_calibrate(target, m, n, 5, reps, seed, pair_count)
+        gamma = calibrate_gamma(target, m=m, n=n, num_blocks=5, reps=reps, seed=seed,
+                                pair_count=pair_count)
+        assert gamma == want_gamma
+        pairs = normal._calibration_pairs(m, n, 5, reps, seed, pair_count)
+        got_sq = _measured_alpha_sq(gamma, m, n, 5, seed, pairs)
+        assert abs(got_sq - want_sq) <= 1e-12 * want_sq
+
+    def test_pairs_drawn_after_each_matrix(self):
+        pairs = normal._calibration_pairs(300, 16, 5, 3, 13, 4000)
+        spec = SimulationSpec(m=300, n=16, sigma_model="block", num_blocks=5, gamma=2.0,
+                              standardize=True)
+        for rep, (i, j) in enumerate(pairs):
+            rng = _substream(13, rep)
+            sample_matrix_normal(spec, rng)
+            want_i, want_j = _pair_indices(300, 4000, rng)
+            assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
 
 
 class TestCalibrateGamma:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import colindep.permutation as permutation
 from colindep import (
     DataMatrix,
     DegenerateEigengapWarning,
@@ -366,6 +367,63 @@ class TestPermPvalue:
             fresh = perm_pvalue(x, stat, L=80, seed=6)
             reused = perm_pvalue(x, stat, L=80, seed=6, spectrum=spectral(x))
             assert reused.to_dict(include_null=True) == fresh.to_dict(include_null=True)
+
+
+def _substream(seed, rep):
+    return np.random.default_rng(np.random.SeedSequence((seed, rep)))
+
+
+class TestChunkedNullsMatchPerPermutationLoop:
+    """perm_pvalue scores permutations in chunks; the oracle scores them one by one."""
+
+    @staticmethod
+    def _oracle(x, statistic, perms, min_len=2, max_len=10):
+        # the public statistics, one call per permutation
+        basis = block_basis(x.n, min_len, max_len)
+        if statistic == "trace":
+            delta_hat = x.values.T @ x.values / x.m
+            stat = lambda p: trace_statistic(delta_hat[np.ix_(p, p)], basis)
+        else:
+            v1 = first_eigvec(spectral(x))
+            if statistic == "block":
+                stat = lambda p: block_statistic(v1[p], basis)
+            else:
+                stat = lambda p: trend_statistic(v1[p])
+        s_obs = stat(np.arange(x.n))
+        nulls = np.array([stat(np.asarray(p)) for p in perms])
+        return s_obs, nulls, mc_pvalue(nulls, s_obs)[1]
+
+    def _check(self, res, s_obs, nulls, exceed):
+        # relative to the statistic's scale: a trend slope near 0 is all cancellation
+        scale = max(abs(s_obs), np.abs(nulls).max())
+        assert abs(res.statistic - s_obs) <= 1e-12 * scale
+        assert res.null_samples.shape == nulls.shape
+        assert np.abs(res.null_samples - nulls).max() <= 1e-12 * scale
+        assert res.exceed_count == exceed
+
+    @pytest.mark.parametrize("statistic", ["block", "trend", "trace"])
+    @pytest.mark.parametrize("m, n, L, cells", [
+        (300, 63, 2500, None),  # block and trend: 1040 permutations a chunk, L not a multiple
+        (80, 20, 1001, None),
+        (40, 12, 97, 50),  # a few permutations a chunk, the last one short
+    ])
+    def test_sampled(self, monkeypatch, statistic, m, n, L, cells):
+        if cells is not None:
+            monkeypatch.setattr(permutation, "_PERM_CELLS", cells)
+        x = demean(DataMatrix(np.random.default_rng(m + n).standard_normal((m, n))))
+        res = perm_pvalue(x, statistic, L=L, seed=17)
+        perms = [_substream(17, rep).permutation(n) for rep in range(L)]
+        self._check(res, *self._oracle(x, statistic, perms))
+
+    @pytest.mark.parametrize("statistic", ["block", "trend", "trace"])
+    @pytest.mark.parametrize("n, cells", [(4, None), (7, None), (7, 300)])
+    def test_exhaustive(self, monkeypatch, statistic, n, cells):
+        if cells is not None:
+            monkeypatch.setattr(permutation, "_PERM_CELLS", cells)
+        x = demean(DataMatrix(np.random.default_rng(90 + n).standard_normal((30, n))))
+        res = perm_pvalue(x, statistic, L=1, seed=0, exhaustive=True, max_len=n)
+        perms = list(itertools.permutations(range(n)))
+        self._check(res, *self._oracle(x, statistic, perms, max_len=n))
 
 
 class TestMcPvalue:
