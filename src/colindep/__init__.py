@@ -55,7 +55,6 @@ from .normal import (
     eigenratio_null,
     sample_matrix_normal,
     sample_wishart,
-    trace_stat_moments,
     two_sample_w,
     within_block_correlation,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "standardization_deviation",
     "standardize_columns",
     "standardize_rows",
-    "trace_stat_moments",
     "trace_statistic",
     "trend_statistic",
     "two_sample_w",

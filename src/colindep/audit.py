@@ -132,10 +132,11 @@ class Prepared:
     """One standardized input and the summaries its stages share.
 
     ``z`` and ``info`` come from demeaning and double standardization,
-    done once in ``prepare``.  ``spectrum`` (one SVD of ``z``) and
-    ``corr`` (which reuses it) are computed on first use, so a stage
-    that needs neither, such as the trace permutation test, costs no SVD
-    and no pair sampling.
+    done once in ``prepare`` in one m-by-n working copy of the input.
+    ``spectrum`` (one eigendecomposition of the smaller Gram matrix of
+    ``z``) and ``corr`` (which reuses it) are computed on first use, so a
+    stage that needs neither, such as the trace permutation test, costs
+    no spectrum and no pair sampling.
     """
 
     z: DataMatrix
@@ -159,8 +160,12 @@ class Prepared:
 
 
 def prepare(x: DataMatrix, config: AuditConfig) -> Prepared:
-    """Demean and doubly standardize ``x`` for the stages below."""
-    z, info = double_standardize(demean(x), max_iter=config.max_iter, tol=config.tol)
+    """Demean and doubly standardize ``x`` for the stages below.
+
+    The sweeps run in place in demeaning's output, so ``x`` and that one
+    copy are the only m-by-n arrays.
+    """
+    z, info = double_standardize(demean(x)._scratch(), max_iter=config.max_iter, tol=config.tol)
     return Prepared(z, info, config)
 
 

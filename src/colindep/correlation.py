@@ -37,7 +37,9 @@ def column_cov(x: DataMatrix) -> np.ndarray:
             "standardized matrix"
         )
     a = x.values
-    return a.T @ a / x.m
+    cov = a.T @ a
+    cov /= x.m
+    return cov
 
 
 def _pair_indices(m: int, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ class NonConvergence(ColindepError, RuntimeError):
 
 
 class NumericalError(ColindepError, RuntimeError):
-    """A numerical backend (SVD, eigensolver) failed."""
+    """A numerical backend (an eigensolver or SVD) failed."""
 
 
 class CalibrationFailure(ColindepError, RuntimeError):

@@ -31,21 +31,28 @@ def corr_null_pvalue(r, m_tilde: float, shift: float = 0.0):
     through the regularized incomplete beta function.  The p-value is
     P(R >= r - shift), so a negative ``shift`` recenters the null to the
     left (as demeaning does to observed correlations).  Scalar or array
-    ``r``; ``m_tilde`` must be a finite number above 3.
+    ``r``; ``m_tilde`` must be a finite number above 3.  An array is
+    worked in one new array of its size, which becomes the result.
     """
     if not 3.0 < m_tilde < math.inf:
         raise InvalidInput(f"m_tilde must be a finite number above 3, got {m_tilde}")
     rr = np.asarray(r, dtype=float)
     if np.any(rr < -1.0) or np.any(rr > 1.0):
         raise InvalidInput("correlations must lie in [-1, 1]")
-    x = rr - shift
-    a = (m_tilde - 2.0) / 2.0
-    inside = np.clip(x, -1.0, 1.0)
-    upper_half = 0.5 * betainc(a, 0.5, 1.0 - inside * inside)
-    p = np.where(inside >= 0, upper_half, 1.0 - upper_half)
-    p = np.where(x >= 1.0, 0.0, np.where(x <= -1.0, 1.0, p))
+    p = np.atleast_1d(rr - shift)
+    above, below = p >= 1.0, p <= -1.0
+    np.clip(p, -1.0, 1.0, out=p)
+    lower = p < 0
+    # 0.5 * I_{1-x^2}(a, 1/2) is P(R >= |x|); below zero p is its complement
+    np.multiply(p, p, out=p)
+    np.subtract(1.0, p, out=p)
+    betainc((m_tilde - 2.0) / 2.0, 0.5, p, out=p)
+    p *= 0.5
+    np.subtract(1.0, p, out=p, where=lower)
+    np.copyto(p, 0.0, where=above)
+    np.copyto(p, 1.0, where=below)
     if np.isscalar(r) or rr.ndim == 0:
-        return float(p)
+        return float(p[0])
     return p
 
 
@@ -156,27 +163,36 @@ def scan_column_pairs(
         raise InvalidInput(f"null_model must be one of {_NULL_MODELS}")
     if not 0.0 < m_tilde < math.inf:
         raise InvalidInput(f"m_tilde must be a finite positive number, got {m_tilde}")
-    n = x.n
-    cov = column_cov(x)
-    ju, jpu = np.triu_indices(n, 1)
-    r = np.clip(cov[ju, jpu], -1.0, 1.0)
-    if null_model == "correlation":
-        p = corr_null_pvalue(r, m_tilde, shift=-1.0 / (n - 1))
-    else:
+    if null_model == "gaussian":
         if gauss_mu is None or gauss_sd is None:
             raise InvalidInput("gaussian null requires gauss_mu and gauss_sd")
         if gauss_sd <= 0:
             raise InvalidInput("gauss_sd must be positive")
-        p = ndtr(-(r - gauss_mu) / gauss_sd)
+    n = x.n
+    # the n-by-n covariance is freed once its upper triangle is gathered,
+    # before the p-values are computed in place in one array
+    cov = column_cov(x)
+    ju, jpu = np.triu_indices(n, 1)
+    r = cov[ju, jpu]
+    del cov
+    np.clip(r, -1.0, 1.0, out=r)
+    if null_model == "correlation":
+        p = corr_null_pvalue(r, m_tilde, shift=-1.0 / (n - 1))
+    else:
+        p = r - gauss_mu
+        np.negative(p, out=p)
+        p /= gauss_sd
+        ndtr(p, out=p)
     if two_sided:
-        p = 2.0 * np.minimum(p, 1.0 - p)
+        np.minimum(p, 1.0 - p, out=p)
+        p *= 2.0
     discoveries = bh_fdr(p, q)
     threshold_r = float(r[discoveries].min()) if discoveries.size else None
     return OutlierReport(
         pair_j=ju,
         pair_jp=jpu,
         r=r,
-        p_values=np.asarray(p, dtype=float),
+        p_values=p,
         q=q,
         discoveries=discoveries,
         threshold_r=threshold_r,

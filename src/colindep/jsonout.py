@@ -21,8 +21,9 @@ import numpy as np
 
 from .fdr import OutlierReport
 
-#: pair records rendered and written at a time
-_PAIR_CHUNK = 50_000
+#: pair records rendered and written at a time: about 1 MB of text, whose
+#: strings and Python numbers are freed before the next chunk is made
+_PAIR_CHUNK = 8_192
 
 
 def write_json(payload, fh: TextIO) -> None:

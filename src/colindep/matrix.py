@@ -20,8 +20,6 @@ from .errors import DegenerateAxis, InvalidInput, NonConvergence, NumericalError
 
 #: tolerance used when verifying the standardization state of a matrix
 TOL_STD = 1e-8
-#: tolerance for orthonormality of singular vectors
-TOL_ORTH = 1e-8
 #: relative eigenvalue cutoff below which spectral components are dropped
 RANK_TOL = 1e-12
 #: default iteration cap for double standardization
@@ -124,15 +122,15 @@ def _check_values(a: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Eigenvalues of X'X (squared singular values) and singular vectors.
+    """Eigenvalues of X'X (squared singular values) and its eigenvectors.
 
     ``eigenvalues`` is sorted in decreasing order and contains only the
-    K components above the rank cutoff; ``left_vectors`` is m-by-K and
-    ``right_vectors`` n-by-K, both orthonormal.
+    K components above the rank cutoff; ``right_vectors`` is n-by-K and
+    orthonormal, column k the eigenvector of X'X for eigenvalue k (the
+    k-th right singular vector of X).
     """
 
     eigenvalues: np.ndarray
-    left_vectors: np.ndarray
     right_vectors: np.ndarray
 
     @property
@@ -180,12 +178,17 @@ def demean(x: DataMatrix) -> DataMatrix:
     """Remove row, column and grand means: x_ij - xbar_i. - xbar_.j + xbar_.. .
 
     The result has every row sum and column sum equal to zero; the
-    operation is idempotent.
+    operation is idempotent.  It makes one new m-by-n array: the row
+    means are subtracted into it, then the column means are subtracted
+    and the grand mean added in place, in the formula's order, so the
+    bits are the formula's.
     """
     a = x.values
-    out = a - a.mean(axis=1, keepdims=True) - a.mean(axis=0, keepdims=True) + a.mean()
+    out = a - a.mean(axis=1, keepdims=True)
+    out -= a.mean(axis=0, keepdims=True)
+    out += a.mean()
     state = x.state if x.state in ("demeaned", "double_std") else "demeaned"
-    return DataMatrix(out, state)
+    return DataMatrix._adopt_checked(out, state)
 
 
 def _axis_mean(a: np.ndarray, axis: int) -> np.ndarray:
@@ -318,24 +321,31 @@ def double_standardize(
 
 
 def spectral(x: DataMatrix, rank_tol: float = RANK_TOL) -> SpectralSummary:
-    """SVD-derived summary of X: eigenvalues of X'X and singular vectors.
+    """Eigenvalues of X'X and its eigenvectors, from the smaller Gram matrix.
 
-    Components whose eigenvalue (squared singular value) falls at or
-    below ``rank_tol`` times the largest are treated as numerical zeros
-    and dropped, so a demeaned matrix reports rank at most
-    min(m-1, n-1).
+    For n <= m this is the eigendecomposition of the n-by-n X'X.  For
+    m < n it is that of the m-by-m XX', which has the same nonzero
+    eigenvalues e_k; the right vectors are then X'u_k / sqrt(e_k).
+    Either way no m-by-n array is made.  Components whose eigenvalue
+    falls at or below ``rank_tol`` times the largest are treated as
+    numerical zeros and dropped, so a demeaned matrix reports rank at
+    most min(m-1, n-1).  Each eigenvalue is accurate to about machine
+    epsilon times the largest, where an SVD resolves small ones more
+    finely; c2, the eigenratio and the first eigenvector, which the
+    package reads, are set by the large ones.
     """
+    a = x.values
+    tall = a.shape[1] <= a.shape[0]
     try:
-        u, d, vt = np.linalg.svd(x.values, full_matrices=False)
+        e, vecs = np.linalg.eigh(a.T @ a if tall else a @ a.T)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed: {exc}") from exc
-    e = d * d
-    if e.size == 0 or e[0] == 0.0:
-        k = 0
+        raise NumericalError(f"eigendecomposition of the Gram matrix failed: {exc}") from exc
+    e, vecs = e[::-1], vecs[:, ::-1]
+    k = int(np.sum(e > rank_tol * e[0])) if e[0] > 0.0 else 0
+    e, vecs = e[:k].copy(), vecs[:, :k]
+    if tall:
+        right = vecs.copy()
     else:
-        k = int(np.sum(e > rank_tol * e[0]))
-    return SpectralSummary(
-        eigenvalues=e[:k].copy(),
-        left_vectors=u[:, :k].copy(),
-        right_vectors=vt[:k].T.copy(),
-    )
+        right = a.T @ vecs
+        right /= np.sqrt(e)
+    return SpectralSummary(eigenvalues=e, right_vectors=right)

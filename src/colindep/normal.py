@@ -485,21 +485,3 @@ def bilinear_test(x: DataMatrix, w: np.ndarray, m_tilde: float) -> BilinearResul
         std_distance=std_distance,
         m_tilde=m_tilde,
     )
-
-
-def trace_stat_moments(B: np.ndarray, m_tilde: float) -> tuple[float, float]:
-    """Null mean and variance of tr(delta_hat @ B) when the truth is identity.
-
-    Under column independence the statistic is centered at tr(B) with
-    variance 2 tr(B^2) / m_tilde.
-    """
-    b = np.asarray(B, dtype=float)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise InvalidInput("B must be square")
-    if not np.allclose(b, b.T, rtol=0.0, atol=1e-8 * (np.abs(b).max() + 1.0)):
-        raise InvalidInput("B must be symmetric")
-    if m_tilde <= 0:
-        raise InvalidInput("m_tilde must be positive")
-    mean = float(np.trace(b))
-    var = 2.0 * float(np.trace(b @ b)) / m_tilde
-    return mean, var

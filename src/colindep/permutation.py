@@ -116,6 +116,8 @@ def trend_statistic(v: np.ndarray) -> float:
     v = np.asarray(v, dtype=float)
     if v.size < 3:
         raise InvalidInput("trend statistic needs at least 3 components")
+    if not np.all(np.isfinite(v)):
+        raise InvalidInput("v must be finite")
     return float(_trend_rows(v.reshape(1, -1))[0])
 
 
@@ -230,7 +232,7 @@ def perm_pvalue(
     ``exhaustive=True`` replaces sampling with all n! permutations
     (allowed only for n <= 8) and returns the exact tail fraction.
     ``spectrum`` is a precomputed ``spectral(x)``, reused for the first
-    eigenvector instead of a fresh SVD.
+    eigenvector instead of a fresh eigendecomposition.
     """
     if statistic not in _STATISTICS:
         raise InvalidInput(f"statistic must be one of {_STATISTICS}")

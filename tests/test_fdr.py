@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import betainc
 from scipy.stats import norm
 
 from colindep import (
@@ -21,7 +22,37 @@ def quadrature_pvalue(r: float, nu: float) -> float:
     return upper / total
 
 
+def closed_form_pvalue(r, m_tilde: float, shift: float = 0.0) -> np.ndarray:
+    """The p-value in one expression per step, each a new array."""
+    x = np.asarray(r, dtype=float) - shift
+    inside = np.clip(x, -1.0, 1.0)
+    upper_half = 0.5 * betainc((m_tilde - 2.0) / 2.0, 0.5, 1.0 - inside * inside)
+    p = np.where(inside >= 0, upper_half, 1.0 - upper_half)
+    return np.where(x >= 1.0, 0.0, np.where(x <= -1.0, 1.0, p))
+
+
 class TestCorrNullPvalue:
+    @pytest.mark.parametrize("shift", [0.0, -1.0 / 43, 0.3])
+    def test_bits_equal_closed_form(self, shift):
+        rng = np.random.default_rng(20)
+        r = np.concatenate([rng.uniform(-1.0, 1.0, 500), [-1.0, -0.3, 0.0, -0.0, 0.3, 1.0, shift]])
+        p = corr_null_pvalue(r, 13.7, shift=shift)
+        assert p.dtype == np.float64 and p.shape == r.shape
+        assert np.array_equal(p, closed_form_pvalue(r, 13.7, shift))
+        grid = r[:12].reshape(3, 4)
+        assert np.array_equal(corr_null_pvalue(grid, 13.7, shift=shift), closed_form_pvalue(grid, 13.7, shift))
+        for value in r[-7:]:
+            scalar = corr_null_pvalue(float(value), 13.7, shift=shift)
+            assert type(scalar) is float
+            assert scalar == float(closed_form_pvalue(value, 13.7, shift))
+        assert type(corr_null_pvalue(np.float64(0.2), 13.7)) is float
+
+    def test_input_untouched(self):
+        r = np.linspace(-1.0, 1.0, 9)
+        before = r.copy()
+        corr_null_pvalue(r, 9.0, shift=-0.1)
+        assert np.array_equal(r, before)
+
     def test_center_is_half(self):
         assert corr_null_pvalue(0.0, 17.2) == pytest.approx(0.5)
         shift = -1.0 / 43

@@ -578,7 +578,7 @@ class TestSubcommandsMatchAudit:
 
 @pytest.fixture
 def spectral_calls(monkeypatch):
-    """Count SVDs of the standardized input, wherever the pipeline asks for one."""
+    """Count spectra of the standardized input, wherever the pipeline asks for one."""
     from colindep.matrix import spectral
 
     calls = []

@@ -86,11 +86,12 @@ class TestWriterMatchesJsonDumps:
         report = scan(30, 7, seed=3, planted=True)
         assert as_json(report) == oracle(report.to_dict(include_pairs=True))
 
-    @pytest.mark.parametrize("n", [316, 317])
-    def test_default_chunk_boundary(self, n):
-        # 49,770 pairs fit one chunk, 50,086 need two
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_default_chunk_boundary(self, chunks):
+        # the most columns whose pairs fit one chunk, and one column more
+        n = int((1 + np.sqrt(1 + 8 * jsonout._PAIR_CHUNK)) // 2) + chunks - 1
         report = scan(30, n, seed=4, m_tilde=12.0)
-        assert (report.n_pairs > jsonout._PAIR_CHUNK) == (n == 317)
+        assert -(-report.n_pairs // jsonout._PAIR_CHUNK) == chunks
         assert as_json(report) == oracle(report.to_dict(include_pairs=True))
 
     def test_nested_and_repeated_reports(self):
@@ -135,6 +136,24 @@ class TestWriterMatchesJsonDumps:
                 tracemalloc.stop()
         assert peak < 64 * 2**20
         assert (tmp_path / "screen.json").stat().st_size > 60e6
+
+    def test_scan_and_writer_memory_on_screen_shape(self, tmp_path):
+        # at n = 1000 the scan peaked at 42 MiB while it held the covariance
+        # and its copies, and the writer at 24 MiB with 50,000-pair chunks
+        z, _ = double_standardize(demean(DataMatrix(np.random.default_rng(8).standard_normal((400, 1000)))))
+        with open(tmp_path / "screen.json", "w") as fh:
+            tracemalloc.start()
+            try:
+                report = scan_column_pairs(z, 14.0, 0.1)
+                scanned = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                write_json({"pairs": report}, fh)
+                written = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert scanned < 32 * 2**20
+        assert written < 12 * 2**20
 
 
 class TestAuditJson:

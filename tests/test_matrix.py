@@ -6,10 +6,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from colindep import (
+    AuditConfig,
     DataMatrix,
     DegenerateAxis,
     InvalidInput,
     NonConvergence,
+    NumericalError,
     SimulationSpec,
     block_labels,
     demean,
@@ -20,6 +22,7 @@ from colindep import (
     standardize_columns,
     standardize_rows,
 )
+from colindep.audit import prepare
 
 
 class TestDataMatrix:
@@ -348,18 +351,29 @@ class TestSpectral:
         assert np.allclose(s.eigenvalues, oracle[: s.rank], rtol=1e-8, atol=1e-10)
 
     def test_reconstruction(self):
+        # Z'Z = V diag(e) V', from the n-by-n Gram (tall) and the m-by-m one (wide)
         rng = np.random.default_rng(27)
-        x = demean(DataMatrix(rng.standard_normal((12, 7))))
-        s = spectral(x)
-        approx = s.left_vectors @ np.diag(s.singular_values) @ s.right_vectors.T
-        rel = np.linalg.norm(x.values - approx) / np.linalg.norm(x.values)
-        assert rel < 1e-8
+        for shape in ((12, 7), (7, 12)):
+            x = demean(DataMatrix(rng.standard_normal(shape)))
+            s = spectral(x)
+            gram = x.values.T @ x.values
+            approx = s.right_vectors @ np.diag(s.eigenvalues) @ s.right_vectors.T
+            assert np.linalg.norm(gram - approx) / np.linalg.norm(gram) < 1e-8
 
     def test_orthonormal_vectors(self):
         rng = np.random.default_rng(28)
-        s = spectral(DataMatrix(rng.standard_normal((10, 6))))
-        assert np.abs(s.right_vectors.T @ s.right_vectors - np.eye(s.rank)).max() < 1e-8
-        assert np.abs(s.left_vectors.T @ s.left_vectors - np.eye(s.rank)).max() < 1e-8
+        for shape in ((10, 6), (6, 10)):
+            s = spectral(DataMatrix(rng.standard_normal(shape)))
+            assert s.right_vectors.shape == (shape[1], s.rank)
+            assert np.abs(s.right_vectors.T @ s.right_vectors - np.eye(s.rank)).max() < 1e-8
+
+    def test_eigensolver_failure_is_numerical_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError, match="did not converge"):
+            spectral(DataMatrix(np.eye(3)))
 
     def test_gram_matrices_share_spectrum(self):
         rng = np.random.default_rng(29)
@@ -375,3 +389,86 @@ class TestSpectral:
         x = DataMatrix(rng.standard_normal((14, 9)))
         s = spectral(x)
         assert np.isclose(s.eigenvalues.sum(), np.trace(x.values.T @ x.values), rtol=1e-10)
+
+
+def _svd_oracle(a: np.ndarray, rank_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    # the thin SVD's squared singular values above the cutoff, and its right vectors
+    _, d, vt = np.linalg.svd(a, full_matrices=False)
+    e = d * d
+    k = int(np.sum(e > rank_tol * e[0]))
+    return e[:k], vt[:k].T
+
+
+class TestSpectralMatchesSvd:
+    """The Gram eigendecomposition against the thin SVD it replaces."""
+
+    @pytest.mark.parametrize(
+        "shape, demeaned",
+        [((60, 9), False), ((9, 60), False), ((25, 25), False), ((50, 12), True), ((12, 50), True)],
+        ids=["tall", "wide", "square", "demeaned_tall", "demeaned_wide"],
+    )
+    def test_oracle(self, shape, demeaned):
+        rng = np.random.default_rng(sum(shape) + demeaned)
+        for _ in range(5):
+            x = DataMatrix(rng.standard_normal(shape) + rng.standard_normal(shape[1]))
+            if demeaned:
+                x = demean(x)
+            s = spectral(x)
+            e, v = _svd_oracle(x.values)
+            assert s.rank == e.size == min(shape) - demeaned
+            assert np.abs(s.eigenvalues - e).max() <= 1e-12 * e[0]
+            v1 = s.right_vectors[:, 0]
+            assert np.abs(v1 * np.sign(v1 @ v[:, 0]) - v[:, 0]).max() <= 1e-10
+            assert np.abs(s.right_vectors.T @ s.right_vectors - np.eye(s.rank)).max() <= 1e-10
+
+    def test_zero_matrix_has_rank_zero(self):
+        s = spectral(DataMatrix(np.zeros((4, 3))))
+        assert s.rank == 0 and s.right_vectors.shape == (3, 0)
+
+
+class TestOneWorkingCopy:
+    """Demeaning and standardization hold one m-by-n copy of the input."""
+
+    @pytest.mark.parametrize("shape", [(300, 12), (12, 300), (40, 40)])
+    def test_prepare_bits_equal_copying_path(self, shape):
+        # the pipeline as it was: a demeaned copy, then a second copy standardized
+        a = np.random.default_rng(shape[0]).standard_normal(shape) * 3.0 + 7.0
+        formula = a - a.mean(axis=1, keepdims=True) - a.mean(axis=0, keepdims=True) + a.mean()
+        want, want_info = double_standardize(DataMatrix(formula, "demeaned"))
+        x = DataMatrix(a)
+        d = demean(x)
+        assert np.array_equal(d.values, formula)
+        assert d.state == "demeaned" and not d.values.flags.writeable
+        ctx = prepare(x, AuditConfig())
+        assert np.array_equal(ctx.z.values, want.values) and ctx.info == want_info
+        assert np.array_equal(x.values, a)
+
+    def test_prepare_of_standardized_input(self):
+        z, _ = double_standardize(DataMatrix(np.random.default_rng(45).standard_normal((50, 6))))
+        ctx = prepare(z, AuditConfig())
+        assert ctx.info.iterations == 0 and ctx.z.state == "double_std"
+        assert not ctx.z.values.flags.writeable
+
+    def test_demean_rejects_overflow(self):
+        big = np.full((3, 3), 1e308)
+        big[0, 0] = -1e308
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInput, match="finite"):
+            demean(DataMatrix(big))
+
+    def test_prepare_and_spectral_memory(self):
+        # 20000 x 63: prepare holds one copy of the input (a copying demean
+        # and double_standardize reached 2.1 times it), and the spectrum
+        # needs no m-by-n array (a thin SVD allocated twice the input)
+        x = DataMatrix(np.random.default_rng(46).standard_normal((20000, 63)))
+        tracemalloc.start()
+        try:
+            ctx = prepare(x, AuditConfig())
+            prepared = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            spectral(ctx.z)
+            spectrum = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert prepared <= 1.3 * x.values.nbytes
+        assert spectrum < 2**20

@@ -22,7 +22,6 @@ from colindep import (
     sample_matrix_normal,
     sample_wishart,
     spectral,
-    trace_stat_moments,
     two_sample_w,
     within_block_correlation,
 )
@@ -514,31 +513,3 @@ class TestBilinearTest:
         x = DataMatrix(np.random.default_rng(101).standard_normal((10, 4)))
         with pytest.raises(InvalidInput):
             bilinear_test(x, np.ones(5), m_tilde=5.0)
-
-
-class TestTraceStatMoments:
-    def test_identity_matrix(self):
-        mean, var = trace_stat_moments(np.eye(12), m_tilde=17.2)
-        assert mean == pytest.approx(12.0)
-        assert var == pytest.approx(2 * 12 / 17.2)
-
-    def test_rank_one_projection(self):
-        w = two_sample_w(4, 6)
-        mean, var = trace_stat_moments(np.outer(w, w), m_tilde=9.0)
-        assert mean == pytest.approx(1.0)
-        assert var == pytest.approx(2.0 / 9.0)
-
-    def test_monte_carlo_agreement(self):
-        rng = np.random.default_rng(102)
-        a = rng.standard_normal((5, 5))
-        b = (a + a.T) / 2
-        df = 40.0
-        draws = sample_wishart(df, np.eye(5), seed=103, size=10_000)
-        stats = np.einsum("rij,ji->r", draws, b)
-        mean, var = trace_stat_moments(b, m_tilde=df)
-        assert abs(stats.mean() - mean) < 4 * stats.std() / np.sqrt(10_000)
-        assert abs(stats.var() - var) < 4 * var * np.sqrt(3.0 / 10_000)
-
-    def test_symmetry_required(self):
-        with pytest.raises(InvalidInput):
-            trace_stat_moments(np.array([[1.0, 2.0], [0.0, 1.0]]), m_tilde=5.0)

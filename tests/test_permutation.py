@@ -134,6 +134,18 @@ class TestTrendStatistic:
             trend_statistic(np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("statistic", ["block", "trend"])
+def test_nonfinite_vector_rejected(statistic, bad):
+    v = np.linspace(-1.0, 1.0, 8)
+    v[3] = bad
+    with pytest.raises(InvalidInput, match="v must be finite"):
+        if statistic == "block":
+            block_statistic(v, block_basis(8))
+        else:
+            trend_statistic(v)
+
+
 class TestFirstEigvec:
     def test_rank_one_recovers_direction(self):
         rng = np.random.default_rng(65)
