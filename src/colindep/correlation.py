@@ -43,9 +43,15 @@ def column_cov(x: DataMatrix) -> np.ndarray:
 
 
 def _pair_indices(m: int, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    # distinct ranks in row-major triu order, unranked in exact integers:
-    # row i holds ranks starts[i] .. starts[i] + m - i - 2
-    k = rng.choice(m * (m - 1) // 2, size=count, replace=False)
+    # distinct ranks in row-major triu order
+    return _unrank_pairs(m, rng.choice(m * (m - 1) // 2, size=count, replace=False))
+
+
+def _unrank_pairs(m: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i < j) of ``m`` items at ranks ``k`` of the row-major ``triu`` order.
+
+    Exact integer arithmetic: row i holds ranks starts[i] .. starts[i] + m - i - 2.
+    """
     r = np.arange(m - 1)
     starts = r * (2 * m - r - 1) // 2
     i = np.searchsorted(starts, k, side="right") - 1

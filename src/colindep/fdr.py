@@ -59,10 +59,13 @@ def corr_null_pvalue(r, m_tilde: float, shift: float = 0.0):
 def bh_fdr(pvalues, q: float) -> np.ndarray:
     """Benjamini-Hochberg step-up rule; returns the rejected indices.
 
-    Sorts the p-values, finds the largest k with p_(k) <= k*q/N and
-    rejects the k smallest.  Tied p-values at the cutoff are always
-    rejected together.  Returns a sorted array of indices into the
-    input, empty when nothing is rejected.
+    Finds the largest k with p_(k) <= k*q/N and rejects the k smallest
+    p-values.  Only p-values at or below the largest threshold, N*q/N
+    (q up to rounding), can pass, so only those candidates are sorted;
+    the thresholds are the same expression over the first c ranks.
+    Tied p-values at the cutoff are always rejected together.  Returns a
+    sorted array of indices into the input, empty when nothing is
+    rejected.
     """
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1:
@@ -72,28 +75,30 @@ def bh_fdr(pvalues, q: float) -> np.ndarray:
     if not 0.0 < q < 1.0:
         raise InvalidInput("q must lie in (0, 1)")
     n = p.size
-    order = np.argsort(p, kind="stable")
-    thresholds = q * np.arange(1, n + 1) / n
-    passing = np.nonzero(p[order] <= thresholds)[0]
+    # the largest threshold, q*n/n, can lie one ulp above q
+    candidates = np.sort(p[p <= q * n / n]) if n else p
+    c = candidates.size
+    passing = np.flatnonzero(candidates <= q * np.arange(1, c + 1) / n)
     if passing.size == 0:
         return np.array([], dtype=np.int64)
-    k = int(passing[-1]) + 1
-    return np.sort(order[:k])
+    # nothing tied with the k-th smallest lies beyond it: k + 1 would pass too
+    return np.flatnonzero(p <= candidates[passing[-1]])
 
 
 @dataclass(frozen=True)
 class OutlierReport:
     """All pairwise column correlations with p-values and BH discoveries.
 
-    ``pair_j``/``pair_jp`` list the column pairs (j < j'), ``r`` their
-    correlations and ``p_values`` the one-sided null p-values.
+    The pairs (j < j') of the ``n`` columns are taken in row-major
+    order, (0, 1), (0, 2), ..., (n-2, n-1), and are not stored: ``r``
+    holds their correlations and ``p_values`` their null p-values, and
+    ``pair_j``/``pair_jp`` enumerate the columns from ``n`` on request.
     ``discoveries`` indexes the pairs flagged at FDR level ``q`` and
     ``threshold_r`` is the smallest correlation among them (None when
     there are no discoveries).
     """
 
-    pair_j: np.ndarray = field(repr=False)
-    pair_jp: np.ndarray = field(repr=False)
+    n: int
     r: np.ndarray = field(repr=False)
     p_values: np.ndarray = field(repr=False)
     q: float
@@ -102,9 +107,23 @@ class OutlierReport:
     null_model: str
     m_tilde: float
 
+    def __post_init__(self):
+        if self.r.size != self.n * (self.n - 1) // 2:
+            raise InvalidInput(f"{self.n} columns have n(n-1)/2 pairs, got {self.r.size} correlations")
+
     @property
     def n_pairs(self) -> int:
         return int(self.r.size)
+
+    @property
+    def pair_j(self) -> np.ndarray:
+        """The first column of each pair, a new array on every read."""
+        return np.triu_indices(self.n, 1)[0]
+
+    @property
+    def pair_jp(self) -> np.ndarray:
+        """The second column of each pair, a new array on every read."""
+        return np.triu_indices(self.n, 1)[1]
 
     @property
     def significant(self) -> np.ndarray:
@@ -124,10 +143,11 @@ class OutlierReport:
         }
         if include_pairs:
             sig = self.significant
+            pair_j, pair_jp = np.triu_indices(self.n, 1)
             out["pairs"] = [
                 {
-                    "j": int(self.pair_j[k]),
-                    "jp": int(self.pair_jp[k]),
+                    "j": int(pair_j[k]),
+                    "jp": int(pair_jp[k]),
                     "r": float(self.r[k]),
                     "p": float(self.p_values[k]),
                     "significant": bool(sig[k]),
@@ -155,7 +175,9 @@ def scan_column_pairs(
     required).  ``m_tilde`` must be finite and positive under either
     null; the gaussian null only reports it.  One-sided upper p-values
     by default; ``two_sided`` doubles the smaller tail.  Swapping null
-    models changes only the p-values, never the correlations.
+    models changes only the p-values, never the correlations.  The
+    correlations are gathered from the covariance row by row, in the
+    report's row-major pair order; no pair index arrays are built.
     """
     if x.state != "double_std":
         raise InvalidInput("scan_column_pairs expects a doubly standardized matrix")
@@ -169,11 +191,10 @@ def scan_column_pairs(
         if gauss_sd <= 0:
             raise InvalidInput("gauss_sd must be positive")
     n = x.n
-    # the n-by-n covariance is freed once its upper triangle is gathered,
-    # before the p-values are computed in place in one array
+    # the n-by-n covariance is freed once its upper triangle is gathered
+    # row by row, before the p-values are computed in place in one array
     cov = column_cov(x)
-    ju, jpu = np.triu_indices(n, 1)
-    r = cov[ju, jpu]
+    r = np.concatenate([cov[j, j + 1 :] for j in range(n)])
     del cov
     np.clip(r, -1.0, 1.0, out=r)
     if null_model == "correlation":
@@ -189,8 +210,7 @@ def scan_column_pairs(
     discoveries = bh_fdr(p, q)
     threshold_r = float(r[discoveries].min()) if discoveries.size else None
     return OutlierReport(
-        pair_j=ju,
-        pair_jp=jpu,
+        n=n,
         r=r,
         p_values=p,
         q=q,

@@ -4,10 +4,12 @@ A report is rendered by ``json.dumps(sort_keys=True, indent=2)``, except
 for the column-pair list of an FDR scan, which holds n(n-1)/2 records
 (499,500 at n = 1000).  A payload carries the ``OutlierReport`` itself
 where that list belongs.  ``write_json`` renders the list straight from
-the report's columns with a fixed record template, ``_PAIR_CHUNK`` pairs
-per write, and gives the same bytes as ``json.dumps`` of
-``to_dict(include_pairs=True)``: ``%r`` of a float is the
-``float.__repr__`` that ``json`` uses.
+the report's ``r`` and ``p_values`` and its column count, ``_PAIR_CHUNK``
+pairs per write, and gives the same bytes as ``json.dumps`` of
+``to_dict(include_pairs=True)``.  A chunk is one list of prebuilt
+pieces joined once: the record's fixed separators, the columns' names,
+``float.__repr__`` of each value (what ``json`` uses) and
+``"true"``/``"false"``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import TextIO
 
 import numpy as np
 
+from .correlation import _unrank_pairs
 from .fdr import OutlierReport
 
 #: pair records rendered and written at a time: about 1 MB of text, whose
@@ -69,20 +72,30 @@ def _write_pairs(report: OutlierReport, depth: int, fh: TextIO) -> None:
         fh.write("[]")
         return
     outer, inner = " " * (depth + 2), " " * (depth + 4)
-    record = (
-        f'{outer}{{\n{inner}"j": %d,\n{inner}"jp": %d,\n{inner}"p": %r,\n'
-        f'{inner}"r": %r,\n{inner}"significant": %s\n{outer}}}'
-    )
-    significant = report.significant
+    first = f'{outer}{{\n{inner}"j": '
+    # a record is ten pieces, each value after the text before it; the text
+    # before "j" closes the previous record, except in the list's first record
+    record = [
+        f"\n{outer}}},\n{first}", None,
+        f',\n{inner}"jp": ', None,
+        f',\n{inner}"p": ', None,
+        f',\n{inner}"r": ', None,
+        f',\n{inner}"significant": ', "false",
+    ]
+    names = [str(j) for j in range(report.n)]
     fh.write("[\n")
     for start in range(0, report.n_pairs, _PAIR_CHUNK):
-        part = slice(start, start + _PAIR_CHUNK)
-        rows = zip(
-            report.pair_j[part].tolist(),
-            report.pair_jp[part].tolist(),
-            report.p_values[part].tolist(),
-            report.r[part].tolist(),
-            np.where(significant[part], "true", "false").tolist(),
-        )
-        fh.write((",\n" if start else "") + ",\n".join([record % row for row in rows]))
-    fh.write("\n" + " " * depth + "]")
+        stop = min(start + _PAIR_CHUNK, report.n_pairs)
+        j, jp = _unrank_pairs(report.n, np.arange(start, stop))
+        pieces = record * (stop - start)
+        if start == 0:
+            pieces[0] = first
+        pieces[1::10] = map(names.__getitem__, j.tolist())
+        pieces[3::10] = map(names.__getitem__, jp.tolist())
+        pieces[5::10] = map(float.__repr__, report.p_values[start:stop].tolist())
+        pieces[7::10] = map(float.__repr__, report.r[start:stop].tolist())
+        lo, hi = np.searchsorted(report.discoveries, (start, stop))
+        for k in report.discoveries[lo:hi].tolist():
+            pieces[10 * (k - start) + 9] = "true"
+        fh.write("".join(pieces))
+    fh.write(f"\n{outer}}}\n{' ' * depth}]")

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc
 from scipy.stats import norm
@@ -7,11 +11,15 @@ from scipy.stats import norm
 from colindep import (
     DataMatrix,
     InvalidInput,
+    OutlierReport,
     bh_fdr,
+    column_cov,
     corr_null_pvalue,
+    demean,
     double_standardize,
     scan_column_pairs,
 )
+from colindep.correlation import _unrank_pairs
 
 
 def quadrature_pvalue(r: float, nu: float) -> float:
@@ -140,6 +148,130 @@ class TestBhFdr:
             bh_fdr([0.5, 1.2], 0.1)
         with pytest.raises(InvalidInput):
             bh_fdr([0.5], 1.0)
+
+
+def brute_force_bh(p, q):
+    """The k smallest p-values for the largest k with p_(k) <= kq/N, by enumeration."""
+    order = sorted(range(len(p)), key=p.__getitem__)
+    best = 0
+    for k in range(1, len(p) + 1):
+        if p[order[k - 1]] <= k * q / len(p):
+            best = k
+    return sorted(order[:best])
+
+
+def argsort_bh(p, q):
+    """The rule as it was: sort every p-value and compare it with its threshold."""
+    n = p.size
+    order = np.argsort(p, kind="stable")
+    thresholds = q * np.arange(1, n + 1) / n
+    passing = np.nonzero(p[order] <= thresholds)[0]
+    if passing.size == 0:
+        return np.array([], dtype=np.int64)
+    return np.sort(order[: int(passing[-1]) + 1])
+
+
+@st.composite
+def _pvalues_and_q(draw):
+    # p-values drawn from the thresholds, q itself, its neighbours and the
+    # ends of [0, 1] as well as at large, so ties and exact cutoffs are common
+    q = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    n = draw(st.integers(1, 40))
+    thresholds = (q * np.arange(1, n + 1) / n).tolist()
+    special = [0.0, 1.0, q, np.nextafter(q, 0.0), np.nextafter(q, 1.0), *thresholds]
+    p = draw(st.lists(st.one_of(st.sampled_from(special), st.floats(0.0, 1.0)), min_size=n, max_size=n))
+    return np.array(p), q
+
+
+class TestBhAgainstOracles:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(case=_pvalues_and_q())
+    @example(case=(np.array([0.02, 0.02, 0.02, 0.9]), 0.1))  # a tie at the cutoff
+    @example(case=(np.array([0.1]), 0.1))  # N = 1, p exactly q
+    @example(case=(np.array([0.3, 0.2, np.nextafter(0.1, 1.0), 0.5]), 0.1))  # every p above q
+    @example(case=(np.array([1e-300, 0.5]), 5e-324))  # q near 0
+    @example(case=(np.array([0.999, 0.9999999999999999]), 0.9999999999999999))  # q near 1
+    def test_matches_brute_force_and_argsort(self, case):
+        p, q = case
+        rejected = bh_fdr(p, q)
+        assert rejected.tolist() == brute_force_bh(p.tolist(), q)
+        want = argsort_bh(p, q)
+        assert rejected.dtype == want.dtype and np.array_equal(rejected, want)
+
+    def test_threshold_rounded_above_q(self):
+        # q*3/3 rounds one ulp above q: p-values there pass at k = N
+        q = 0.0015988299414970747
+        top = q * 3 / 3
+        assert top > q
+        p = np.array([top, top, top])
+        assert bh_fdr(p, q).tolist() == brute_force_bh(p.tolist(), q) == [0, 1, 2]
+
+    def test_nothing_under_q(self):
+        assert bh_fdr(np.full(5, 0.3), 0.2).size == 0
+        assert bh_fdr(np.array([0.2000001]), 0.2).size == 0
+        assert bh_fdr(np.array([]), 0.2).dtype == np.int64 and bh_fdr([], 0.2).size == 0
+
+
+class TestPairEnumeration:
+    def test_chunks_equal_triu_slices(self):
+        rng = np.random.default_rng(120)
+        for n in range(2, 61):
+            ju, jpu = np.triu_indices(n, 1)
+            for _ in range(5):
+                start, stop = np.sort(rng.integers(0, ju.size + 1, 2))
+                j, jp = _unrank_pairs(n, np.arange(start, stop))
+                assert np.array_equal(j, ju[start:stop]) and np.array_equal(jp, jpu[start:stop])
+            j, jp = _unrank_pairs(n, np.arange(ju.size))
+            assert np.array_equal(j, ju) and np.array_equal(jp, jpu)
+
+    @pytest.mark.parametrize("shape", [(40, 3), (60, 7), (30, 45)])
+    def test_pairs_and_r_as_stored_before(self, shape):
+        rng = np.random.default_rng(121)
+        z, _ = double_standardize(demean(DataMatrix(rng.standard_normal(shape))), max_iter=300)
+        out = scan_column_pairs(z, 20.0, 0.2)
+        ju, jpu = np.triu_indices(shape[1], 1)
+        assert out.n == shape[1]
+        assert out.pair_j.dtype == ju.dtype and np.array_equal(out.pair_j, ju)
+        assert out.pair_jp.dtype == jpu.dtype and np.array_equal(out.pair_jp, jpu)
+        assert np.array_equal(out.r, np.clip(column_cov(z)[ju, jpu], -1.0, 1.0))
+        with pytest.raises(AttributeError):
+            out.pair_j = ju
+
+    def test_to_dict_enumerates_pairs_once(self, monkeypatch):
+        n, calls = 1000, []
+        triu_indices = np.triu_indices
+
+        def counted(*args, **kwargs):
+            # a second call fails at once: once per record would take minutes
+            assert not calls, "np.triu_indices called more than once"
+            calls.append(args)
+            return triu_indices(*args, **kwargs)
+
+        monkeypatch.setattr(np, "triu_indices", counted)
+        r = np.random.default_rng(122).uniform(-0.3, 0.3, n * (n - 1) // 2)
+        report = OutlierReport(n, r, 1.0 - r, 0.1, np.array([5, 4321]), 0.2, "correlation", 20.0)
+        pairs = report.to_dict(include_pairs=True)["pairs"]
+        assert len(calls) == 1
+        assert pairs[4321] == {"j": 4, "jp": 336, "r": r[4321], "p": 1.0 - r[4321], "significant": True}
+
+    def test_pair_count_checked(self):
+        with pytest.raises(InvalidInput, match="n\\(n-1\\)/2 pairs"):
+            OutlierReport(5, np.zeros(9), np.zeros(9), 0.1, np.array([], dtype=np.int64), None, "correlation", 5.0)
+
+    def test_scan_memory_on_screen_shape(self):
+        # storing the pair indices and sorting every p-value peaked at
+        # 27.2 MiB and kept 15.2 MiB; r and p alone are 7.6 MiB
+        z, _ = double_standardize(demean(DataMatrix(np.random.default_rng(8).standard_normal((400, 1000)))))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = scan_column_pairs(z, 14.0, 0.1)
+            kept, peak = (v - base for v in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert report.n_pairs == 499_500
+        assert peak < 16 * 2**20
+        assert kept < 9 * 2**20
 
 
 class TestScanColumnPairs:

@@ -86,6 +86,19 @@ class TestWriterMatchesJsonDumps:
         report = scan(30, 7, seed=3, planted=True)
         assert as_json(report) == oracle(report.to_dict(include_pairs=True))
 
+    @pytest.mark.parametrize("n", [7, 30])
+    @pytest.mark.parametrize("chunk", ["1", "7", "n-1"])
+    def test_chunks_start_mid_row(self, monkeypatch, n, chunk):
+        # discoveries at the first pair, inside rows and at the last pair
+        monkeypatch.setattr(jsonout, "_PAIR_CHUNK", n - 1 if chunk == "n-1" else int(chunk))
+        x = np.random.default_rng(n).standard_normal((40, n))
+        for j, jp in ((0, 1), (2, n - 3), (n - 2, n - 1)):
+            x[:, jp] = x[:, j] + 0.05 * x[:, jp]
+        z, _ = double_standardize(demean(DataMatrix(x)), max_iter=200)
+        report = scan_column_pairs(z, 40.0, 0.1)
+        assert {0, report.n_pairs - 1} <= set(report.discoveries.tolist())
+        assert as_json(report) == oracle(report.to_dict(include_pairs=True))
+
     @pytest.mark.parametrize("chunks", [1, 2])
     def test_default_chunk_boundary(self, chunks):
         # the most columns whose pairs fit one chunk, and one column more
@@ -102,7 +115,7 @@ class TestWriterMatchesJsonDumps:
 
     def test_no_pairs(self):
         empty = np.array([], dtype=np.int64)
-        report = OutlierReport(empty, empty, np.array([]), np.array([]), 0.1, empty, None, "correlation", 5.0)
+        report = OutlierReport(1, np.array([]), np.array([]), 0.1, empty, None, "correlation", 5.0)
         assert as_json(report) == oracle(report.to_dict(include_pairs=True))
 
     def test_unknown_objects_still_rejected(self):
