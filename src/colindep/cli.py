@@ -4,13 +4,15 @@ Subcommands: standardize, permtest, eigenratio-test, bilinear, fdr-scan,
 simulate, audit.  Exit codes: 0 success, 1 usage or parse error, 2
 numerical failure.  ``main`` writes each subcommand's report once, to
 ``--out`` or stdout: text, or JSON streamed through ``jsonout.write_json``
-so no pair list is held as one string.  Simulated null replicates (the
-eigenratio nulls, gamma calibration and ``simulate``'s block and spiked
-models) run on one thread per CPU in the process's affinity mask, so
-``taskset`` or a cpuset sets their number; each replicate draws from its
-own substream, so results do not depend on it.  BLAS threads are the BLAS
-backend's (the usual OMP_NUM_THREADS-style variables); no other environment
-variables are consulted.
+so no pair list is held as one string.  ``simulate`` writes each
+replicate of an eigenratio null (Wishart for ``--model wishart``,
+correlated rows for ``blocks`` and ``spiked``) with its c2 and trace.
+Simulated null replicates (both eigenratio nulls, so every ``simulate``
+model, and gamma calibration) run on one thread per CPU in the process's
+affinity mask, so ``taskset`` or a cpuset sets their number; each
+replicate draws from its own substream, so results do not depend on it.
+BLAS threads are the BLAS backend's (the usual OMP_NUM_THREADS-style
+variables); no other environment variables are consulted.
 """
 
 from __future__ import annotations
@@ -37,20 +39,12 @@ from .audit import (
     perm_stage,
     prepare,
 )
-from .correlation import c2_from_spectrum
 from .errors import CalibrationFailure, InvalidInput, NonConvergence, NumericalError, ParseError
 from .fdr import OutlierReport
 from .io import ParseOptions, ingest, write_matrix
 from .jsonout import write_json
-from .matrix import DataMatrix, double_standardize, spectral
-from .normal import (
-    SimulationSpec,
-    _psd_eigenvalues,
-    eigenratio,
-    map_replicates,
-    sample_matrix_normal,
-    sample_wishart,
-)
+from .matrix import DataMatrix, spectral  # noqa: F401  (patched here by spectrum counters)
+from .normal import SimulationSpec, _null_draws
 
 _USAGE_ERRORS = (InvalidInput, ParseError)
 _NUMERICAL_ERRORS = (NonConvergence, NumericalError, CalibrationFailure, np.linalg.LinAlgError)
@@ -185,14 +179,7 @@ def _cmd_simulate(args) -> str:
     if args.out is None:
         raise InvalidInput("simulate requires --out for the draw file")
     if args.model == "wishart":
-        if args.df is None:
-            raise InvalidInput("--df is required for the wishart model")
-        rows = []
-        draws = sample_wishart(args.df, np.eye(args.n), seed=args.seed, size=args.reps)
-        for k in range(args.reps):
-            vals = _psd_eigenvalues(draws[k])
-            c2 = float(np.sum(vals**2) / args.n**2)
-            rows.append([float(vals[-1] / vals.sum()), c2, float(np.trace(draws[k]))])
+        draws = _null_draws("wishart", args.reps, args.n, args.seed, df=args.df)
     else:
         if args.model == "blocks":
             spec = SimulationSpec(
@@ -205,15 +192,9 @@ def _cmd_simulate(args) -> str:
                 m=args.m, n=args.n, delta_model="spiked",
                 spike_lambda=getattr(args, "lambda"), spike_beta=beta,
             )
-
-        def replicate(rng: np.random.Generator) -> list[float]:
-            z, _ = double_standardize(sample_matrix_normal(spec, rng), max_iter=200)
-            s = spectral(z)
-            return [eigenratio(s), c2_from_spectrum(s, z.m, z.n), float(s.eigenvalues.sum() / z.m)]
-
-        rows = map_replicates(replicate, args.reps, args.seed)
-    _write_csv(args.out, ["eigenratio", "c2", "trace"], ([repr(v) for v in row] for row in rows))
-    return f"wrote {len(rows)} replicates to {args.out}"
+        draws = _null_draws("correlated_rows", args.reps, args.n, args.seed, spec=spec)
+    _write_csv(args.out, ["eigenratio", "c2", "trace"], ([repr(v) for v in row] for row in draws.tolist()))
+    return f"wrote {len(draws)} replicates to {args.out}"
 
 
 def _cmd_audit(args) -> AuditReport:

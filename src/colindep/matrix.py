@@ -137,10 +137,6 @@ class SpectralSummary:
     def rank(self) -> int:
         return int(self.eigenvalues.size)
 
-    @property
-    def singular_values(self) -> np.ndarray:
-        return np.sqrt(self.eigenvalues)
-
 
 @dataclass(frozen=True)
 class StandardizeInfo:

@@ -169,7 +169,6 @@ def sample_wishart(
     delta: np.ndarray,
     seed: int = 0,
     size: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Draws of Wishart(df, delta)/df for real df > n-1.
 
@@ -187,8 +186,7 @@ def sample_wishart(
         chol = np.linalg.cholesky(d)
     except np.linalg.LinAlgError as exc:
         raise InvalidInput("delta must be positive definite") from exc
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     reps = 1 if size is None else int(size)
     out = np.empty((reps, n, n))
     for r in range(reps):
@@ -252,6 +250,45 @@ def map_replicates(
     return _pool_map(lambda rep: fn(_null_rng(seed, rep)), reps)
 
 
+def _null_draws(
+    model: str, reps: int, n: int, seed: int, df: float | None = None, spec: SimulationSpec | None = None
+) -> np.ndarray:
+    """(reps, 3): each replicate's eigenratio, c2 and trace of its n-by-n null covariance.
+
+    The covariance is W/df from a Bartlett factor's singular values for
+    ``"wishart"``, or Z'Z/m of a doubly standardized draw from ``spec``
+    (up to 200 sweeps) for ``"correlated_rows"``; see ``eigenratio_null``.
+    """
+    if reps < 1:
+        raise InvalidInput("reps must be positive")
+    if model == "wishart":
+        if df is None or df <= 0:
+            raise InvalidInput("wishart model requires df > 0")
+
+        def replicate(rng: np.random.Generator) -> tuple[float, float, float]:
+            sv = np.linalg.svd(_bartlett_factor(df, n, rng), compute_uv=False)
+            e = sv * sv
+            total = e.sum()
+            return e[0] / total, np.sum(e * e) / (df * df * n * n), total / df
+
+    elif model == "correlated_rows":
+        if spec is None:
+            raise InvalidInput("correlated_rows model requires a SimulationSpec")
+        if spec.n != n:
+            raise InvalidInput(f"spec.n={spec.n} does not match n={n}")
+
+        def replicate(rng: np.random.Generator) -> tuple[float, float, float]:
+            # the draw is this replicate's own, so it is standardized in place
+            z, _ = double_standardize(sample_matrix_normal(spec, rng)._scratch(), max_iter=200)
+            vals = _psd_eigenvalues(z.values.T @ z.values / z.m)
+            total = vals.sum()
+            return vals[-1] / total, np.sum(vals * vals) / (n * n), total
+
+    else:
+        raise InvalidInput("model must be 'wishart' or 'correlated_rows'")
+    return np.array(map_replicates(replicate, reps, seed), dtype=float)
+
+
 def eigenratio_null(
     model: str,
     reps: int,
@@ -265,38 +302,15 @@ def eigenratio_null(
     ``model="wishart"`` draws scaled Wishart(df, I_n) column covariance
     matrices (df may be fractional, and may drop below n-1, where the
     singular Bartlett interpolation is used).  ``model="correlated_rows"``
-    draws data matrices from ``spec``, doubly standardizes each and takes
-    the eigenratio of its column covariance; this is the null that keeps
-    the row-correlation structure.  Each replicate uses an independent
-    substream of ``seed``, so results do not depend on evaluation order
-    or on the worker count (see ``map_replicates``).
+    draws data matrices from ``spec``, doubly standardizes each (up to
+    200 sweeps) and takes the eigenratio of its column covariance; this
+    is the null that keeps the row-correlation structure.  Each
+    replicate uses an independent substream of ``seed``, so results do
+    not depend on evaluation order or on the worker count (see
+    ``map_replicates``).  ``colindep simulate`` writes the same
+    replicates with their c2 and trace.
     """
-    if reps < 1:
-        raise InvalidInput("reps must be positive")
-    if model == "wishart":
-        if df is None or df <= 0:
-            raise InvalidInput("wishart model requires df > 0")
-
-        def replicate(rng: np.random.Generator) -> float:
-            sv = np.linalg.svd(_bartlett_factor(df, n, rng), compute_uv=False)
-            e = sv * sv
-            return e[0] / e.sum()
-
-    elif model == "correlated_rows":
-        if spec is None:
-            raise InvalidInput("correlated_rows model requires a SimulationSpec")
-        if spec.n != n:
-            raise InvalidInput(f"spec.n={spec.n} does not match n={n}")
-
-        def replicate(rng: np.random.Generator) -> float:
-            # the draw is this replicate's own, so it is standardized in place
-            z, _ = double_standardize(sample_matrix_normal(spec, rng)._scratch())
-            vals = _psd_eigenvalues(z.values.T @ z.values / z.m)
-            return vals[-1] / vals.sum()
-
-    else:
-        raise InvalidInput("model must be 'wishart' or 'correlated_rows'")
-    return np.array(map_replicates(replicate, reps, seed), dtype=float)
+    return _null_draws(model, reps, n, seed, df, spec)[:, 0].copy()
 
 
 def _calibration_pairs(

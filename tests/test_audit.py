@@ -121,6 +121,14 @@ class TestAudit:
             clean += ok
         assert clean >= 9
 
+    def test_small_null_replicates_converge(self):
+        # a 20 x 8 input makes 20 x 8 block-null draws, some of which need
+        # more than the default 50 sweeps to standardize
+        for seed in range(10):
+            x = DataMatrix(np.random.default_rng(seed).standard_normal((20, 8)))
+            report = audit(x, AuditConfig(seed=seed, L=100, eigen_reps=50))
+            assert "eigenratio_blocks" not in report.errors, (seed, report.errors)
+
     def test_block_generator_round_trip(self):
         # simulate known row correlation, audit it: alpha recovered and
         # the eigenratio test flags the non-identity row structure

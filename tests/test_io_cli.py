@@ -2,6 +2,7 @@ import csv
 import importlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -13,9 +14,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from colindep import (
-    ColindepError, DataMatrix, InvalidInput, ParseError, ParseOptions, cli, ingest, write_matrix,
+    ColindepError, DataMatrix, InvalidInput, ParseError, ParseOptions, SimulationSpec, cli,
+    double_standardize, eigenratio_null, ingest, sample_matrix_normal, write_matrix,
 )
 from colindep.cli import build_parser, main
+from colindep.normal import _bartlett_factor
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestIngest:
@@ -512,7 +517,9 @@ class TestCli:
         assert "bilinear" in text
         assert "fdr scan" in text
 
-    @pytest.mark.parametrize("model", [["blocks", "--gamma", "1.2"], ["spiked", "--lambda", "3"]])
+    @pytest.mark.parametrize(
+        "model", [["blocks", "--gamma", "1.2"], ["spiked", "--lambda", "3"], ["wishart", "--df", "5.5"]]
+    )
     def test_simulate_independent_of_workers(self, tmp_path, monkeypatch, model):
         drawn = []
         for cpus in (1, 2, 3):
@@ -528,6 +535,68 @@ class TestCli:
         before = open(matrix_file, "rb").read()
         main(["permtest", matrix_file, "--stat", "trend", "--L", "50", "--seed", "1"])
         assert open(matrix_file, "rb").read() == before
+
+
+def _substream(seed, rep):
+    return np.random.default_rng(np.random.SeedSequence((seed, rep)))
+
+
+def _read_draws(path) -> np.ndarray:
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["eigenratio", "c2", "trace"]
+    return np.array([[float(v) for v in row] for row in rows[1:]])
+
+
+class TestSimulateIsTheLibraryNull:
+    """``simulate`` writes the replicates of ``eigenratio_null`` with their c2 and trace."""
+
+    @pytest.mark.parametrize("df", [5.5, 20.0])  # below and above n - 1 = 7
+    def test_wishart(self, tmp_path, df):
+        out = tmp_path / "draws.csv"
+        argv = ["simulate", "--model", "wishart", "--df", repr(df), "--n", "8", "--reps", "12", "--seed", "3"]
+        assert main([*argv, "--out", str(out)]) == 0
+        draws = _read_draws(out)
+        assert np.array_equal(draws[:, 0], eigenratio_null("wishart", 12, 8, 3, df=df))
+        for rep, (_, c2, trace) in enumerate(draws):
+            t = _bartlett_factor(df, 8, _substream(3, rep))
+            vals = np.linalg.eigvalsh(t @ t.T / df)
+            assert c2 == pytest.approx(np.sum(vals**2) / 64, rel=1e-12)
+            assert trace == pytest.approx(vals.sum(), rel=1e-12)
+
+    def test_blocks(self, tmp_path):
+        out = tmp_path / "draws.csv"
+        argv = ["simulate", "--model", "blocks", "--m", "150", "--n", "8", "--gamma", "1.1",
+                "--blocks", "3", "--reps", "10", "--seed", "5"]
+        assert main([*argv, "--out", str(out)]) == 0
+        draws = _read_draws(out)
+        spec = SimulationSpec(m=150, n=8, sigma_model="block", num_blocks=3, gamma=1.1)
+        assert np.array_equal(draws[:, 0], eigenratio_null("correlated_rows", 10, 8, 5, spec=spec))
+        for rep, (_, c2, trace) in enumerate(draws):
+            z, _ = double_standardize(sample_matrix_normal(spec, _substream(5, rep)), max_iter=200)
+            vals = np.linalg.eigvalsh(z.values.T @ z.values / z.m)
+            assert c2 == pytest.approx(np.sum(vals**2) / 64, rel=1e-12)
+            assert trace == pytest.approx(vals.sum(), rel=1e-12)
+            assert trace == pytest.approx(8.0, rel=1e-12)
+
+
+def _readme_commands() -> list[str]:
+    """The lines of the ``sh`` block under the README's "## Command line"."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) >= 8 and any(c.startswith("colindep simulate") for c in commands)
+    monkeypatch.chdir(tmp_path)
+    write_matrix("data.csv", sample_matrix_normal(SimulationSpec(m=300, n=63, seed=8)))
+    for command in commands:
+        argv = shlex.split(command)
+        assert argv[0] == "colindep"
+        assert main(argv[1:]) == 0, command
 
 
 def _run_json(argv, out) -> dict:
