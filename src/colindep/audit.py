@@ -27,7 +27,7 @@ import numpy as np
 from ._version import __version__
 from .correlation import CorrelationReport, correlation_report
 from .errors import ColindepError, InvalidInput
-from .fdr import OutlierReport, scan_column_pairs
+from .fdr import _NULL_MODELS, OutlierReport, scan_column_pairs
 from .jsonout import dumps
 from .matrix import (
     DataMatrix,
@@ -38,6 +38,7 @@ from .matrix import (
     spectral,
 )
 from .normal import (
+    CALIB_TOL,
     SimulationSpec,
     bilinear_test,
     calibrate_gamma,
@@ -58,7 +59,7 @@ def stage_seed(seed: int, stage: str) -> int:
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Knobs for the audit battery; defaults are desk-scale."""
+    """Knobs for the audit battery; defaults are desk-scale, and bad values raise InvalidInput."""
 
     seed: int = 0
     L: int = 2000
@@ -69,12 +70,32 @@ class AuditConfig:
     pair_sample: int = 10_000
     tol: float = 1e-8
     max_iter: int = 50
-    estimator: str = "eigen"
+    estimator: str = field(default="eigen", init=False)
     fdr_null: str = "correlation"
     bilinear: bool | None = None
     sim_m: int = 2000
     sim_blocks: int = 5
     calib_reps: int = 4
+
+    def __post_init__(self):
+        # bounds of the settings alone; failures that depend on the data stay stage errors
+        for ok, message in (
+            (self.seed >= 0, "seed must be nonnegative"),
+            (self.L >= 1, "L must be positive"),
+            (self.eigen_reps >= 1, "eigen_reps must be positive"),
+            (0.0 < self.q < 1.0, "q must lie in (0, 1)"),
+            (self.min_block >= 2, "min_block must be at least 2"),
+            (self.min_block <= self.max_block, "min_block must not exceed max_block"),
+            (self.pair_sample >= 1, "pair_sample must be positive"),
+            (self.tol > 0.0, "tol must be positive"),
+            (self.max_iter >= 1, "max_iter must be at least 1"),
+            (self.fdr_null in _NULL_MODELS, f"fdr_null must be one of {_NULL_MODELS}"),
+            (self.sim_m >= 2, "sim_m must be at least 2"),
+            (1 <= self.sim_blocks <= self.sim_m, "sim_blocks must lie in [1, sim_m]"),
+            (self.calib_reps >= 1, "calib_reps must be positive"),
+        ):
+            if not ok:
+                raise InvalidInput(message)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -205,15 +226,9 @@ def eigenratio_stage(
         if gamma is None:
             alpha = float(np.sqrt(ctx.corr.alpha_hat_sq))
             gamma = 0.0
-            if alpha > 0.005:
-                gamma = calibrate_gamma(
-                    alpha,
-                    m=sim_m,
-                    n=z.n,
-                    num_blocks=cfg.sim_blocks,
-                    reps=cfg.calib_reps,
-                    seed=stage_seed(cfg.seed, "calibrate"),
-                )
+            if alpha > CALIB_TOL:  # an alpha within the calibration's tolerance of 0 takes gamma 0
+                gamma = calibrate_gamma(alpha, m=sim_m, n=z.n, num_blocks=cfg.sim_blocks,
+                                        reps=cfg.calib_reps, seed=stage_seed(cfg.seed, "calibrate"))
         extra = {"gamma": gamma, "sim_m": sim_m}
         spec = SimulationSpec(
             m=sim_m, n=z.n, sigma_model="block", num_blocks=cfg.sim_blocks, gamma=gamma

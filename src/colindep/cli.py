@@ -2,17 +2,16 @@
 
 Subcommands: standardize, permtest, eigenratio-test, bilinear, fdr-scan,
 simulate, audit.  Exit codes: 0 success, 1 usage or parse error, 2
-numerical failure.  ``main`` writes each subcommand's report once, to
-``--out`` or stdout: text, or JSON streamed through ``jsonout.write_json``
-so no pair list is held as one string.  ``simulate`` writes each
-replicate of an eigenratio null (Wishart for ``--model wishart``,
-correlated rows for ``blocks`` and ``spiked``) with its c2 and trace.
-Simulated null replicates (both eigenratio nulls, so every ``simulate``
-model, and gamma calibration) run on one thread per CPU in the process's
-affinity mask, so ``taskset`` or a cpuset sets their number; each
-replicate draws from its own substream, so results do not depend on it.
-BLAS threads are the BLAS backend's (the usual OMP_NUM_THREADS-style
-variables); no other environment variables are consulted.
+numerical failure; an invalid setting exits 1 before any stage runs.
+``main`` writes each subcommand's report once, to ``--out`` or stdout:
+text, or JSON streamed through ``jsonout.write_json`` so no pair list is
+held as one string.  ``simulate`` writes each replicate of an eigenratio
+null (Wishart for ``--model wishart``, correlated rows for ``blocks``
+and ``spiked``) with its c2 and trace, and rejects the options of the
+other models.  Simulated null replicates run on one thread per CPU in
+the process's affinity mask (see ``normal.map_replicates``), and results
+do not depend on their number.  BLAS threads are the BLAS backend's
+(OMP_NUM_THREADS and the like); no other environment variables are read.
 """
 
 from __future__ import annotations
@@ -43,15 +42,36 @@ from .errors import CalibrationFailure, InvalidInput, NonConvergence, NumericalE
 from .fdr import OutlierReport
 from .io import ParseOptions, ingest, write_matrix
 from .jsonout import write_json
-from .matrix import DataMatrix, spectral  # noqa: F401  (patched here by spectrum counters)
+from .matrix import DataMatrix
 from .normal import SimulationSpec, _null_draws
 
 _USAGE_ERRORS = (InvalidInput, ParseError)
 _NUMERICAL_ERRORS = (NonConvergence, NumericalError, CalibrationFailure, np.linalg.LinAlgError)
 
+#: the options each simulate model reads, with their defaults
+_SIMULATE_OPTIONS = {"wishart": {"df": None}, "blocks": {"m": 2000, "gamma": 0.0, "blocks": 5},
+                     "spiked": {"m": 2000, "lambda": 0.0}}
+
+
+def _arg_type(convert, ok, expected: str):
+    """An argparse type: ``convert(arg)``, a usage error unless ``ok`` accepts it."""
+
+    def parse(arg: str):
+        try:
+            value = convert(arg)
+            valid = ok(value)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {arg!r}")
+        return value
+
+    return parse
+
 
 def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    p.add_argument("--seed", type=_arg_type(int, lambda v: v >= 0, "an integer of at least 0"), default=0,
+                   help="master RNG seed")
     # only simulate takes no input; its --out is the draw file
     out_help = ("write the report here instead of stdout" if needs_input
                 else "write the draws here as CSV (required); the summary line goes to stdout")
@@ -64,18 +84,6 @@ def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
         p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument("--tol", type=float, default=1e-8, help="standardization tolerance")
         p.add_argument("--max-iter", type=int, default=50, help="standardization sweep cap")
-
-
-def _mtilde(arg: str) -> float | None:
-    if arg == "auto":
-        return None
-    try:
-        value = float(arg)
-    except ValueError:
-        value = math.nan
-    if not 3.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected 'auto' or a number, finite and above 3, got {arg!r}")
-    return value
 
 
 def _parse_groups(arg: str | None) -> tuple[int, ...] | None:
@@ -99,8 +107,8 @@ def _load(args, **fields) -> tuple[DataMatrix, list[str] | None, AuditConfig]:
         group_sizes=_parse_groups(getattr(args, "groups", None)),
         groups_file=getattr(args, "groups_file", None),
     )
-    x, labels = ingest(args.input, opts)
-    return x, labels, AuditConfig(seed=args.seed, tol=args.tol, max_iter=args.max_iter, **fields)
+    cfg = AuditConfig(seed=args.seed, tol=args.tol, max_iter=args.max_iter, **fields)
+    return (*ingest(args.input, opts), cfg)
 
 
 def _prepare(args, **fields) -> tuple[Prepared, list[str] | None]:
@@ -178,20 +186,21 @@ def _cmd_fdr_scan(args) -> dict:
 def _cmd_simulate(args) -> str:
     if args.out is None:
         raise InvalidInput("simulate requires --out for the draw file")
+    opt = dict(_SIMULATE_OPTIONS[args.model])
+    for name in ("m", "df", "gamma", "lambda", "blocks"):
+        if getattr(args, name) is not None:
+            if name not in opt:
+                raise InvalidInput(f"--model {args.model} does not read --{name}")
+            opt[name] = getattr(args, name)
     if args.model == "wishart":
-        draws = _null_draws("wishart", args.reps, args.n, args.seed, df=args.df)
+        draws = _null_draws("wishart", args.reps, args.n, args.seed, df=opt["df"])
     else:
         if args.model == "blocks":
-            spec = SimulationSpec(
-                m=args.m, n=args.n, sigma_model="block",
-                num_blocks=args.blocks, gamma=args.gamma,
-            )
+            spec = SimulationSpec(m=opt["m"], n=args.n, sigma_model="block", num_blocks=opt["blocks"],
+                                  gamma=opt["gamma"])
         else:
-            beta = np.full(args.n, 1.0 / np.sqrt(args.n))
-            spec = SimulationSpec(
-                m=args.m, n=args.n, delta_model="spiked",
-                spike_lambda=getattr(args, "lambda"), spike_beta=beta,
-            )
+            spec = SimulationSpec(m=opt["m"], n=args.n, delta_model="spiked", spike_lambda=opt["lambda"],
+                                  spike_beta=np.full(args.n, 1.0 / np.sqrt(args.n)))
         draws = _null_draws("correlated_rows", args.reps, args.n, args.seed, spec=spec)
     _write_csv(args.out, ["eigenratio", "c2", "trace"], ([repr(v) for v in row] for row in draws.tolist()))
     return f"wrote {len(draws)} replicates to {args.out}"
@@ -248,21 +257,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--q", type=float, default=0.1)
     p.add_argument("--null", choices=["corr", "gauss"], default="corr")
-    p.add_argument("--mtilde", type=_mtilde, default="auto", help="effective sample size, or 'auto'")
+    mtilde = _arg_type(lambda a: None if a == "auto" else float(a), lambda v: v is None or 3.0 < v < math.inf,
+                       "'auto' or a number, finite and above 3")
+    p.add_argument("--mtilde", type=mtilde, default="auto", help="effective sample size, or 'auto'")
     p.add_argument("--two-sided", action="store_true")
     p.add_argument("--hist-out", default=None, help="write correlation histogram bins to CSV")
-    p.add_argument("--bins", type=int, default=40)
+    p.add_argument("--bins", type=_arg_type(int, lambda v: v >= 1, "an integer of at least 1"), default=40,
+                   help="histogram bins")
     p.set_defaults(func=_cmd_fdr_scan)
 
     p = sub.add_parser("simulate", help="draw replicate statistics from a null model")
     _add_common(p, needs_input=False)
     p.add_argument("--model", choices=["wishart", "blocks", "spiked"], required=True)
-    p.add_argument("--m", type=int, default=2000)
+    p.add_argument("--m", type=int, default=None, help="rows per draw (blocks, spiked; default 2000)")
     p.add_argument("--n", type=int, default=44)
-    p.add_argument("--df", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--lambda", type=float, default=0.0, dest="lambda")
-    p.add_argument("--blocks", type=int, default=5)
+    p.add_argument("--df", type=float, default=None, help="degrees of freedom (wishart; required)")
+    p.add_argument("--gamma", type=float, default=None, help="block effect size (blocks; default 0)")
+    p.add_argument("--lambda", type=float, default=None, dest="lambda", help="spike size (spiked; default 0)")
+    p.add_argument("--blocks", type=int, default=None, help="row blocks (blocks; default 5)")
     p.add_argument("--reps", type=int, default=100)
     p.set_defaults(func=_cmd_simulate)
 

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -84,11 +84,11 @@ class DataMatrix:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def validate(self, tol: float = TOL_STD) -> None:
+    def validate(self) -> None:
         """Check that the values actually satisfy the declared state.
 
         Raises InvalidInput when a mean/variance deviates by more than
-        ``tol`` from what the state flag promises.
+        ``TOL_STD`` from what the state flag promises.
         """
         a = self.values
         checks: list[tuple[str, float]] = []
@@ -105,9 +105,9 @@ class DataMatrix:
             checks.append(("row variances", float(np.abs(a.var(axis=1) - 1.0).max())))
             checks.append(("column variances", float(np.abs(a.var(axis=0) - 1.0).max())))
         for name, dev in checks:
-            if dev > tol:
+            if dev > TOL_STD:
                 raise InvalidInput(
-                    f"state {self.state!r} violated: {name} deviate by {dev:.3g} > {tol:.3g}"
+                    f"state {self.state!r} violated: {name} deviate by {dev:.3g} > {TOL_STD:.3g}"
                 )
 
 
@@ -143,15 +143,15 @@ class StandardizeInfo:
     """Outcome of double standardization: iterations used and final deviation.
 
     ``deviations`` holds the deviation the stop test measured after each
-    sweep: that of the axis standardized first, and of both axes on a
-    sweep where the first is within tolerance.  Its last entry is
-    ``max_deviation``; it is empty when the input was already
-    standardized.
+    sweep: that of the columns, and of both axes on a sweep where the
+    columns are within tolerance.  Its last entry is ``max_deviation``;
+    it is empty when the input was already standardized.  ``order`` is
+    always ``"col_first"``: each sweep standardizes columns, then rows.
     """
 
     iterations: int
     max_deviation: float
-    order: str = "col_first"
+    order: str = field(default="col_first", init=False)
     deviations: tuple[float, ...] = ()
 
     def to_dict(self) -> dict:
@@ -252,7 +252,6 @@ def double_standardize(
     x: DataMatrix,
     max_iter: int = MAX_ITER,
     tol: float = TOL_STD,
-    order: str = "col_first",
 ) -> tuple[DataMatrix, StandardizeInfo]:
     """Alternate column and row standardization until both axes settle.
 
@@ -260,13 +259,13 @@ def double_standardize(
     row/column variance within ``tol`` of 1.  A matrix that already
     satisfies those conditions is returned unchanged with 0 iterations.
 
-    Each sweep standardizes one private copy in place; a matrix handed
-    over with ``_scratch`` is standardized in place instead.  Its second
-    step leaves its own axis exact to rounding, so the stop test reads
-    the means and variances of the axis standardized first, and those
-    of the second axis only once the first meets ``tol``: that rounding
+    Each sweep standardizes the columns, then the rows, of one private
+    copy in place; a matrix handed over with ``_scratch`` is
+    standardized in place instead.  The row step leaves the rows exact
+    to rounding, so the stop test reads the column means and variances,
+    and the row ones only once the columns meet ``tol``: that rounding
     grows with how close to constant an axis was before its step.  The
-    next sweep's first step reuses those moments (variance = mean
+    next sweep's column step reuses those moments (variance = mean
     square − mean²), so a sweep makes four reductions and four in-place
     updates.  The first sweep centres before it takes the sum of
     squares, so inputs with large offsets keep their precision.
@@ -279,36 +278,32 @@ def double_standardize(
         matrices exist for which no doubly standardized form exists, so
         non-convergence is an error rather than a silent best effort.
     tol : float
-        Convergence tolerance on means and variances.
-    order : str
-        ``"col_first"`` (default) standardizes columns then rows within
-        each sweep; ``"row_first"`` reverses the two steps.
+        Convergence tolerance on means and variances; must be positive.
     """
-    if order not in ("col_first", "row_first"):
-        raise InvalidInput(f"order must be 'col_first' or 'row_first', got {order!r}")
     if max_iter < 1:
         raise InvalidInput("max_iter must be at least 1")
-    first, second = (0, 1) if order == "col_first" else (1, 0)
+    if not tol > 0:
+        raise InvalidInput("tol must be positive")
     a = x.values
-    mean, var = _axis_moments(a, first)
+    mean, var = _axis_moments(a, 0)
     dev = _deviation(mean, var)
     if dev < tol:
-        dev = max(dev, _axis_deviation(a, second))
+        dev = max(dev, _axis_deviation(a, 1))
         if dev < tol:
-            return DataMatrix._adopt(a, "double_std"), StandardizeInfo(0, dev, order)
+            return DataMatrix._adopt(a, "double_std"), StandardizeInfo(0, dev)
     if not a.flags.writeable:
         a = a.copy()
     deviations = []
     for it in range(1, max_iter + 1):
-        _standardize_axis(a, first, mean, var if it > 1 else None)
-        _standardize_axis(a, second)
-        mean, var = _axis_moments(a, first)
+        _standardize_axis(a, 0, mean, var if it > 1 else None)
+        _standardize_axis(a, 1)
+        mean, var = _axis_moments(a, 0)
         dev = _deviation(mean, var)
         if dev < tol:
-            dev = max(dev, _axis_deviation(a, second))
+            dev = max(dev, _axis_deviation(a, 1))
         deviations.append(dev)
         if dev < tol:
-            info = StandardizeInfo(it, dev, order, tuple(deviations))
+            info = StandardizeInfo(it, dev, deviations=tuple(deviations))
             return DataMatrix._adopt(a, "double_std"), info
     raise NonConvergence(
         f"double standardization did not reach tol={tol:.3g} in {max_iter} sweeps "
@@ -316,14 +311,14 @@ def double_standardize(
     )
 
 
-def spectral(x: DataMatrix, rank_tol: float = RANK_TOL) -> SpectralSummary:
+def spectral(x: DataMatrix) -> SpectralSummary:
     """Eigenvalues of X'X and its eigenvectors, from the smaller Gram matrix.
 
     For n <= m this is the eigendecomposition of the n-by-n X'X.  For
     m < n it is that of the m-by-m XX', which has the same nonzero
     eigenvalues e_k; the right vectors are then X'u_k / sqrt(e_k).
     Either way no m-by-n array is made.  Components whose eigenvalue
-    falls at or below ``rank_tol`` times the largest are treated as
+    falls at or below ``RANK_TOL`` times the largest are treated as
     numerical zeros and dropped, so a demeaned matrix reports rank at
     most min(m-1, n-1).  Each eigenvalue is accurate to about machine
     epsilon times the largest, where an SVD resolves small ones more
@@ -337,7 +332,7 @@ def spectral(x: DataMatrix, rank_tol: float = RANK_TOL) -> SpectralSummary:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition of the Gram matrix failed: {exc}") from exc
     e, vecs = e[::-1], vecs[:, ::-1]
-    k = int(np.sum(e > rank_tol * e[0])) if e[0] > 0.0 else 0
+    k = int(np.sum(e > RANK_TOL * e[0])) if e[0] > 0.0 else 0
     e, vecs = e[:k].copy(), vecs[:, :k]
     if tall:
         right = vecs.copy()

@@ -24,6 +24,9 @@ from .permutation import _null_rng
 
 _SIGMA_MODELS = ("identity", "block")
 _DELTA_MODELS = ("identity", "spiked")
+#: calibrate_gamma's tolerance on alpha, and the largest gamma it tries
+CALIB_TOL = 0.005
+GAMMA_MAX = 5.0
 
 
 @dataclass(frozen=True)
@@ -35,8 +38,7 @@ class SimulationSpec:
     gamma^2/(1+gamma^2); rows are split into ``num_blocks`` equal groups
     with any remainder assigned to the last.  ``delta_model="spiked"``
     right-multiplies by the symmetric square root of I + lambda *
-    beta beta'.  With ``standardize=True`` the result is column
-    standardized after sampling.
+    beta beta'.  Draws are not standardized.
     """
 
     m: int
@@ -48,7 +50,6 @@ class SimulationSpec:
     spike_lambda: float = 0.0
     spike_beta: np.ndarray | None = None
     seed: int = 0
-    standardize: bool = False
 
     def __post_init__(self):
         if self.m < 2 or self.n < 2:
@@ -137,11 +138,7 @@ def sample_matrix_normal(spec: SimulationSpec, rng: np.random.Generator | None =
         y = y @ _spiked_root(spec.spike_lambda, spec.spike_beta)
         if not np.all(np.isfinite(y)):
             raise InvalidInput("matrix entries must be finite")
-    state = "raw"
-    if spec.standardize:
-        y = _standardize_axis(y, axis=0)
-        state = "col_std"
-    return DataMatrix._adopt(y, state)
+    return DataMatrix._adopt(y, "raw")
 
 
 def _bartlett_factor(df: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -313,46 +310,28 @@ def eigenratio_null(
     return _null_draws(model, reps, n, seed, df, spec)[:, 0].copy()
 
 
-def _calibration_pairs(
-    m: int, n: int, num_blocks: int, reps: int, seed: int, pair_count: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each calibration replicate's row pairs, which do not depend on gamma.
-
-    Replicate r draws its matrix and then its pairs from substream
-    (seed, r); the matrix is drawn here only to reach the pairs.
-    """
-    count = min(pair_count, m * (m - 1) // 2)
-    spec = SimulationSpec(m=m, n=n, sigma_model="block", num_blocks=num_blocks)
-
-    def replicate(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        sample_matrix_normal(spec, rng)
-        return _pair_indices(m, count, rng)
-
-    return map_replicates(replicate, reps, seed)
-
-
 def _measured_alpha_sq(
-    gamma: float,
-    m: int,
-    n: int,
-    num_blocks: int,
-    seed: int,
-    pairs: list[tuple[np.ndarray, np.ndarray]],
+    gamma: float, m: int, n: int, num_blocks: int, seed: int, pair_count: int,
+    pairs: list[tuple[np.ndarray, np.ndarray] | None],
 ) -> float:
     """Monte Carlo estimate of alpha^2 for the column-standardized block model.
 
-    Replicate r redraws its matrix at ``gamma`` from substream (seed, r),
+    Replicate r draws its matrix at ``gamma`` from substream (seed, r),
     standardizes its columns and then its rows in place, and correlates
-    its cached ``pairs[r]`` as mean products of standardized rows.
+    its row pairs ``pairs[r]`` as mean products of standardized rows.
+    An empty slot (None) is filled with up to ``pair_count`` pairs drawn
+    right after the matrix, where the stream does not depend on gamma.
     """
-    spec = SimulationSpec(
-        m=m, n=n, sigma_model="block", num_blocks=num_blocks, gamma=gamma, standardize=True,
-    )
+    spec = SimulationSpec(m=m, n=n, sigma_model="block", num_blocks=num_blocks, gamma=gamma)
 
     def replicate(rep: int) -> float:
-        x = sample_matrix_normal(spec, _null_rng(seed, rep))._scratch()
-        _standardize_axis(x.values, axis=1)
-        corrs = _standardized_row_products(x.values, *pairs[rep])
+        rng = _null_rng(seed, rep)
+        a = sample_matrix_normal(spec, rng)._scratch().values
+        if pairs[rep] is None:
+            pairs[rep] = _pair_indices(m, min(pair_count, m * (m - 1) // 2), rng)
+        _standardize_axis(a, axis=0)
+        _standardize_axis(a, axis=1)
+        corrs = _standardized_row_products(a, *pairs[rep])
         return alpha_corrected(float(corrs.var()), n)[0]
 
     est = 0.0
@@ -368,52 +347,50 @@ def calibrate_gamma(
     num_blocks: int,
     reps: int,
     seed: int,
-    tol: float = 0.005,
-    gamma_max: float = 5.0,
     pair_count: int = 20_000,
 ) -> float:
     """Find the block-effect size gamma whose simulated alpha hits a target.
 
     The measurement pipeline mirrors how alpha is estimated on data:
-    sample the block model, column standardize, estimate row
-    correlations on random pairs and apply the noise-corrected
-    estimator.  The same random numbers are reused at every trial gamma
-    (the block effects enter as an explicit gamma scaling), making the
-    measured alpha a continuous increasing function of gamma that plain
-    bisection can invert.  Each replicate's row pairs are drawn once and
-    reused at every gamma; its matrix is redrawn at each gamma and not
-    kept.  Requires n >= 6 for the corrected estimator.
+    sample the block model, standardize its columns and then its rows,
+    estimate row correlations on random pairs and apply the
+    noise-corrected estimator.  The same random numbers are reused at
+    every trial gamma (the block effects enter as an explicit gamma
+    scaling), making the measured alpha a continuous increasing
+    function of gamma that plain bisection on [0, GAMMA_MAX] inverts
+    to within CALIB_TOL.  Each of the ``reps`` replicates draws its row
+    pairs at the first gamma, right after its matrix, and reuses them at
+    every later gamma; its matrix is redrawn at each gamma and not kept.
+    Requires n >= 6 for the corrected estimator.
     """
     if not 0.0 <= target_alpha < 1.0:
         raise InvalidInput("target_alpha must lie in [0, 1)")
+    if reps < 1:
+        raise InvalidInput("reps must be positive")
     if target_alpha == 0.0:
         return 0.0
     target_sq = target_alpha * target_alpha
-    pairs = _calibration_pairs(m, n, num_blocks, reps, seed, pair_count)
+    pairs: list[tuple[np.ndarray, np.ndarray] | None] = [None] * reps
 
     def measure(g: float) -> float:
-        return _measured_alpha_sq(g, m, n, num_blocks, seed, pairs)
+        return _measured_alpha_sq(g, m, n, num_blocks, seed, pair_count, pairs)
 
-    lo, hi = 0.0, gamma_max
+    lo, hi = 0.0, GAMMA_MAX
     f_hi = measure(hi)
     if f_hi < target_sq:
         raise CalibrationFailure(
-            f"alpha({gamma_max}) = {math.sqrt(f_hi):.4f} is below target {target_alpha}"
+            f"alpha({GAMMA_MAX}) = {math.sqrt(f_hi):.4f} is below target {target_alpha}"
         )
-    f_mid = None
-    for _ in range(60):
+    while True:  # hi - lo halves each step: below 1e-4 by the 17th
         mid = 0.5 * (lo + hi)
         f_mid = measure(mid)
-        if abs(math.sqrt(f_mid) - target_alpha) <= 0.5 * tol or hi - lo < 1e-4:
+        if abs(math.sqrt(f_mid) - target_alpha) <= 0.5 * CALIB_TOL or hi - lo < 1e-4:
             break
         if f_mid < target_sq:
             lo = mid
         else:
             hi = mid
-    else:
-        mid = 0.5 * (lo + hi)
-        f_mid = measure(mid)
-    if abs(math.sqrt(f_mid) - target_alpha) > tol:
+    if abs(math.sqrt(f_mid) - target_alpha) > CALIB_TOL:
         raise CalibrationFailure(
             f"bisection stalled at gamma={mid:.4f} with alpha={math.sqrt(f_mid):.4f}"
         )

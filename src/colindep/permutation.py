@@ -57,8 +57,8 @@ class TestResult:
     def L(self) -> int:
         return int(self.null_samples.size)
 
-    def to_dict(self, include_null: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "method": self.method,
             "statistic": self.statistic,
             "p_value": self.p_value,
@@ -66,9 +66,6 @@ class TestResult:
             "exceed_count": self.exceed_count,
             "seed": self.seed,
         }
-        if include_null:
-            out["null_samples"] = [float(v) for v in self.null_samples]
-        return out
 
 
 def block_basis(n: int, min_len: int = 2, max_len: int = 10) -> BlockBasis:

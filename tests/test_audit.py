@@ -59,6 +59,43 @@ class TestAudit:
         with pytest.raises(InvalidInput):
             audit(x, desk_config(bilinear=True))
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"seed": -1}, "seed must be nonnegative"),
+        ({"L": 0}, "L must be positive"),
+        ({"eigen_reps": 0}, "eigen_reps must be positive"),
+        ({"q": 0.0}, "q must lie in (0, 1)"),
+        ({"q": 1.5}, "q must lie in (0, 1)"),
+        ({"q": float("nan")}, "q must lie in (0, 1)"),
+        ({"min_block": 1}, "min_block must be at least 2"),
+        ({"min_block": 4, "max_block": 3}, "min_block must not exceed max_block"),
+        ({"pair_sample": 0}, "pair_sample must be positive"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"tol": -1.0}, "tol must be positive"),
+        ({"max_iter": 0}, "max_iter must be at least 1"),
+        ({"fdr_null": "uniform"}, "fdr_null must be one of"),
+        ({"sim_m": 1}, "sim_m must be at least 2"),
+        ({"sim_blocks": 0}, "sim_blocks must lie in [1, sim_m]"),
+        ({"sim_m": 4, "sim_blocks": 5}, "sim_blocks must lie in [1, sim_m]"),
+        ({"calib_reps": 0}, "calib_reps must be positive"),
+    ])
+    def test_invalid_settings_rejected_on_construction(self, setting, message):
+        with pytest.raises(InvalidInput) as err:
+            AuditConfig(**setting)
+        assert str(err.value).startswith(message)
+
+    def test_fixed_settings_reported_not_settable(self):
+        # the audit always uses the eigen estimator; the report still names it
+        assert AuditConfig().to_dict()["estimator"] == "eigen"
+        with pytest.raises(TypeError):
+            AuditConfig(estimator="corrected")
+
+    def test_data_dependent_failures_stay_stage_errors(self):
+        # a valid min_block longer than the 6 columns fails only the block-based stages
+        x = DataMatrix(np.random.default_rng(133).standard_normal((60, 6)))
+        report = audit(x, desk_config(min_block=8, max_block=10))
+        assert report.errors["perm_block"] == report.errors["perm_trace"] == "min_len=8 exceeds n=6"
+        assert "perm_trend" not in report.errors
+
     def test_interleaved_groups_match_permuted_contiguous(self):
         x = np.random.default_rng(132).standard_normal((60, 6))
         labels = ["b", "a", "a", "b", "a", "a"]

@@ -459,6 +459,59 @@ class TestCli:
         assert main(base + ["--tol", "5"]) == 1
         assert main(base + ["--format", "text"]) == 1
 
+    @pytest.mark.parametrize(
+        "model, option",
+        [("wishart", ["--m", "50"]), ("wishart", ["--gamma", "1"]), ("wishart", ["--blocks", "3"]),
+         ("wishart", ["--lambda", "2"]), ("blocks", ["--df", "8"]), ("blocks", ["--lambda", "2"]),
+         ("spiked", ["--df", "8"]), ("spiked", ["--gamma", "1"]), ("spiked", ["--blocks", "3"])],
+    )
+    def test_simulate_rejects_options_of_other_models(self, tmp_path, capsys, model, option):
+        out = tmp_path / "draws.csv"
+        argv = ["simulate", "--model", model, "--n", "5", "--reps", "2", "--out", str(out)]
+        if model == "wishart" and option[0] != "--df":
+            argv += ["--df", "8"]
+        assert main(argv + option) == 1
+        assert capsys.readouterr().err == f"error: --model {model} does not read {option[0]}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bins", ["0", "-2", "2.5"])
+    def test_fdr_scan_bins_must_be_a_positive_integer(self, matrix_file, tmp_path, capsys, bins):
+        hist = tmp_path / "bins.csv"
+        assert main(["fdr-scan", matrix_file, "--hist-out", str(hist), f"--bins={bins}"]) == 1
+        err = capsys.readouterr().err
+        assert "error: argument --bins: expected an integer of at least 1" in err
+        assert "Traceback" not in err and not hist.exists()
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [(["--L", "0"], "L must be positive"), (["--reps", "0"], "eigen_reps must be positive"),
+         (["--q", "0"], "q must lie in (0, 1)"), (["--q", "1.5"], "q must lie in (0, 1)"),
+         (["--min-block", "1"], "min_block must be at least 2"),
+         (["--max-block", "1"], "min_block must not exceed max_block"),
+         (["--tol", "0"], "tol must be positive"), (["--tol", "-1"], "tol must be positive"),
+         (["--max-iter", "0"], "max_iter must be at least 1")],
+    )
+    def test_audit_settings_checked_before_any_stage(self, matrix_file, tmp_path, capsys, option, message):
+        out = tmp_path / "res.json"
+        assert main(["audit", matrix_file, *option, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["permtest", "--stat", "block", "--L", "0"],
+                                      ["eigenratio-test", "--reps", "0"],
+                                      ["eigenratio-test", "--null", "blocks", "--blocks", "0"],
+                                      ["fdr-scan", "--q", "1"], ["standardize", "--tol", "0"]])
+    def test_subcommand_settings_checked_before_any_stage(self, matrix_file, capsys, argv):
+        assert main([argv[0], matrix_file, *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["audit", "IN"], ["simulate", "--model", "wishart", "--df", "8"]])
+    def test_seed_must_be_nonnegative(self, matrix_file, tmp_path, capsys, argv):
+        argv = [matrix_file if a == "IN" else a for a in argv]
+        assert main([*argv, "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+        assert "error: argument --seed: expected an integer of at least 0" in capsys.readouterr().err
+
     def test_fdr_scan_bad_mtilde_exit_code(self, matrix_file, capsys):
         assert main(["fdr-scan", matrix_file, "--mtilde", "abc"]) == 1
         assert "'auto' or a number" in capsys.readouterr().err
@@ -518,14 +571,16 @@ class TestCli:
         assert "fdr scan" in text
 
     @pytest.mark.parametrize(
-        "model", [["blocks", "--gamma", "1.2"], ["spiked", "--lambda", "3"], ["wishart", "--df", "5.5"]]
+        "model",
+        [["blocks", "--m", "120", "--gamma", "1.2"], ["spiked", "--m", "120", "--lambda", "3"],
+         ["wishart", "--df", "5.5"]],
     )
     def test_simulate_independent_of_workers(self, tmp_path, monkeypatch, model):
         drawn = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
             out = tmp_path / f"draws{cpus}.csv"
-            argv = ["simulate", "--model", *model, "--m", "120", "--n", "8", "--reps", "9", "--seed", "2"]
+            argv = ["simulate", "--model", *model, "--n", "8", "--reps", "9", "--seed", "2"]
             assert main([*argv, "--out", str(out)]) == 0
             drawn.append(out.read_bytes())
         assert drawn[0] == drawn[1] == drawn[2]
@@ -550,6 +605,16 @@ def _read_draws(path) -> np.ndarray:
 
 class TestSimulateIsTheLibraryNull:
     """``simulate`` writes the replicates of ``eigenratio_null`` with their c2 and trace."""
+
+    @pytest.mark.parametrize("model, spec", [
+        ("blocks", SimulationSpec(m=2000, n=5, sigma_model="block", num_blocks=5, gamma=0.0)),
+        ("spiked", SimulationSpec(m=2000, n=5, delta_model="spiked", spike_lambda=0.0,
+                                  spike_beta=np.full(5, 1 / np.sqrt(5)))),
+    ])
+    def test_model_option_defaults(self, tmp_path, model, spec):
+        out = tmp_path / "draws.csv"
+        assert main(["simulate", "--model", model, "--n", "5", "--reps", "3", "--out", str(out)]) == 0
+        assert np.array_equal(_read_draws(out)[:, 0], eigenratio_null("correlated_rows", 3, 5, 0, spec=spec))
 
     @pytest.mark.parametrize("df", [5.5, 20.0])  # below and above n - 1 = 7
     def test_wishart(self, tmp_path, df):
@@ -657,7 +722,7 @@ def spectral_calls(monkeypatch):
         return spectral(*args, **kwargs)
 
     # the attribute colindep.audit is the function, so look the modules up by name
-    for name in ("audit", "cli", "correlation", "permutation"):
+    for name in ("audit", "correlation", "permutation"):
         monkeypatch.setattr(importlib.import_module(f"colindep.{name}"), "spectral", counted)
     return calls
 

@@ -153,14 +153,12 @@ class TestDoubleStandardize:
         with pytest.raises(NonConvergence):
             double_standardize(DataMatrix(rng.standard_normal((20, 8))), max_iter=1)
 
-    def test_row_first_order(self):
-        rng = np.random.default_rng(22)
-        x = DataMatrix(rng.standard_normal((30, 10)))
-        z, info = double_standardize(x, max_iter=200, order="row_first")
-        assert info.order == "row_first"
-        assert standardization_deviation(z.values) < 1e-8
-        with pytest.raises(InvalidInput):
-            double_standardize(x, order="diagonal")
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_tolerance_must_be_positive(self, tol):
+        # an already standardized matrix too: no tolerance is ever met at tol <= 0
+        x = DataMatrix([[1.0, -1.0], [-1.0, 1.0]])
+        with pytest.raises(InvalidInput, match="tol must be positive"):
+            double_standardize(x, tol=tol)
 
     def test_column_permutation_equivariance(self):
         rng = np.random.default_rng(23)
@@ -172,9 +170,10 @@ class TestDoubleStandardize:
 
     def test_degenerate_axis_propagates(self):
         a = np.random.default_rng(24).standard_normal((6, 5))
-        a[2] = 0.5
-        with pytest.raises(DegenerateAxis):
-            double_standardize(DataMatrix(a), order="row_first")
+        a[:, 2] = 0.5
+        with pytest.raises(DegenerateAxis) as err:
+            double_standardize(DataMatrix(a))
+        assert (err.value.axis, err.value.index) == ("column", 2)
 
 
 def _oracle_axis(a, axis):
@@ -187,8 +186,8 @@ def _oracle_axis(a, axis):
     return (a - mean) / sd
 
 
-def _oracle_double_standardize(a, order="col_first", max_iter=50, tol=1e-8):
-    """The sweep before fusion: two axis steps, then all four moments.
+def _oracle_double_standardize(a, max_iter=50, tol=1e-8):
+    """The sweep before fusion: columns, then rows, then all four moments.
 
     Returns the last matrix and the deviation after each sweep; the
     caller reads convergence from the last deviation.
@@ -196,9 +195,8 @@ def _oracle_double_standardize(a, order="col_first", max_iter=50, tol=1e-8):
     devs = []
     if standardization_deviation(a) < tol:
         return a, devs
-    first, second = (0, 1) if order == "col_first" else (1, 0)
     for _ in range(max_iter):
-        a = _oracle_axis(_oracle_axis(a, first), second)
+        a = _oracle_axis(_oracle_axis(a, 0), 1)
         devs.append(standardization_deviation(a))
         if devs[-1] < tol:
             break
@@ -238,18 +236,18 @@ class TestFusedSweepMatchesOracle:
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(a=_offset_scaled_matrices(), order=st.sampled_from(["col_first", "row_first"]))
-    def test_random_shapes_offsets_and_scales(self, a, order):
+    @given(a=_offset_scaled_matrices())
+    def test_random_shapes_offsets_and_scales(self, a):
         try:
-            oz, odevs = _oracle_double_standardize(a, order=order, tol=self.TOL)
+            oz, odevs = _oracle_double_standardize(a, tol=self.TOL)
         except DegenerateAxis as exc:
             with pytest.raises(DegenerateAxis) as err:
-                double_standardize(DataMatrix(a), order=order, tol=self.TOL)
+                double_standardize(DataMatrix(a), tol=self.TOL)
             assert (err.value.axis, err.value.index) == (exc.axis, exc.index)
             return
         converged = not odevs or odevs[-1] < self.TOL
         try:
-            z, info = double_standardize(DataMatrix(a), order=order, tol=self.TOL)
+            z, info = double_standardize(DataMatrix(a), tol=self.TOL)
         except NonConvergence:
             assert not converged or self._near_tol(odevs[-1])
             return
@@ -322,8 +320,7 @@ class TestFusedSweepMatchesOracle:
         a = np.random.default_rng(42).standard_normal((30, 7)) + 5.0
         x = DataMatrix(a)
         before = x.values.copy()
-        for order in ("col_first", "row_first"):
-            double_standardize(x, max_iter=200, order=order)
+        double_standardize(x, max_iter=200)
         standardize_columns(x)
         standardize_rows(x)
         assert np.array_equal(x.values, before)

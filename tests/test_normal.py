@@ -28,7 +28,7 @@ from colindep import (
 from colindep.correlation import (
     _pair_indices, _pearson_rows, _standardized_row_products, alpha_corrected,
 )
-from colindep.matrix import double_standardize, standardize_rows
+from colindep.matrix import double_standardize, standardize_columns, standardize_rows
 from colindep.normal import _bartlett_factor, _measured_alpha_sq, _psd_eigenvalues, map_replicates
 
 
@@ -124,14 +124,6 @@ class TestSampleMatrixNormal:
         a = sample_matrix_normal(spec0)
         b = sample_matrix_normal(spec1)
         assert np.allclose(a.values, b.values)
-
-    def test_standardize_flag(self):
-        spec = SimulationSpec(m=50, n=8, sigma_model="block", gamma=1.0,
-                              standardize=True, seed=84)
-        x = sample_matrix_normal(spec)
-        assert x.state == "col_std"
-        assert np.abs(x.values.mean(axis=0)).max() < 1e-12
-        assert np.abs(x.values.std(axis=0) - 1.0).max() < 1e-12
 
     def test_seed_determinism(self):
         spec = SimulationSpec(m=20, n=6, sigma_model="block", gamma=0.7, seed=85)
@@ -349,12 +341,11 @@ class TestResultsIndependentOfWorkers:
             assert np.array_equal(got, expected)
 
     def test_measured_alpha_sums_in_index_order(self, monkeypatch):
-        spec = SimulationSpec(m=300, n=16, sigma_model="block", num_blocks=5, gamma=0.7,
-                              standardize=True)
+        spec = SimulationSpec(m=300, n=16, sigma_model="block", num_blocks=5, gamma=0.7)
         values, pairs = [], []
         for rep in range(7):
             rng = _substream(13, rep)
-            x = standardize_rows(sample_matrix_normal(spec, rng))
+            x = standardize_rows(standardize_columns(sample_matrix_normal(spec, rng)))
             pairs.append(_pair_indices(300, 4000, rng))
             corrs = _standardized_row_products(x.values, *pairs[-1])
             values.append(alpha_corrected(float(corrs.var()), 16)[0])
@@ -366,7 +357,7 @@ class TestResultsIndependentOfWorkers:
         assert backwards != expected
         for workers in (1, 2, 3):
             _on_cpus(monkeypatch, workers)
-            assert _measured_alpha_sq(0.7, 300, 16, 5, 13, pairs) == expected / 7
+            assert _measured_alpha_sq(0.7, 300, 16, 5, 13, 4000, pairs) == expected / 7
 
     def test_calibrated_gamma(self, monkeypatch):
         gammas = {}
@@ -381,12 +372,11 @@ class TestResultsIndependentOfWorkers:
 def _oracle_alpha_sq(gamma, m, n, num_blocks, reps, seed, pair_count):
     """The calibration measurement before cached pairs: a fresh draw and pairs at every gamma."""
     count = min(pair_count, m * (m - 1) // 2)
-    spec = SimulationSpec(m=m, n=n, sigma_model="block", num_blocks=num_blocks, gamma=gamma,
-                          standardize=True)
+    spec = SimulationSpec(m=m, n=n, sigma_model="block", num_blocks=num_blocks, gamma=gamma)
     est = 0.0
     for rep in range(reps):
         rng = _substream(seed, rep)
-        x = sample_matrix_normal(spec, rng)
+        x = standardize_columns(sample_matrix_normal(spec, rng))
         corrs = _pearson_rows(x.values, *_pair_indices(m, count, rng))
         est += alpha_corrected(float(corrs.var()), n)[0]
     return est / reps
@@ -420,14 +410,36 @@ class TestCalibrationMatchesOracle:
         gamma = calibrate_gamma(target, m=m, n=n, num_blocks=5, reps=reps, seed=seed,
                                 pair_count=pair_count)
         assert gamma == want_gamma
-        pairs = normal._calibration_pairs(m, n, 5, reps, seed, pair_count)
-        got_sq = _measured_alpha_sq(gamma, m, n, 5, seed, pairs)
+        got_sq = _measured_alpha_sq(gamma, m, n, 5, seed, pair_count, [None] * reps)
         assert abs(got_sq - want_sq) <= 1e-12 * want_sq
 
+    def test_pair_slots_filled_under_contention(self, monkeypatch):
+        # each replicate writes only its own slot: more threads than cores and
+        # frequent switches lose no pairs and change no bits
+        cores = normal._affinity_cpus()
+        _on_cpus(monkeypatch, 1)
+        serial = [None] * 24
+        expected = _measured_alpha_sq(1.0, 120, 8, 5, 21, 500, serial)
+        _on_cpus(monkeypatch, 4 * cores)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pairs = [None] * 24
+            got = _measured_alpha_sq(1.0, 120, 8, 5, 21, 500, pairs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        for (i, j), (want_i, want_j) in zip(pairs, serial):
+            assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
     def test_pairs_drawn_after_each_matrix(self):
-        pairs = normal._calibration_pairs(300, 16, 5, 3, 13, 4000)
-        spec = SimulationSpec(m=300, n=16, sigma_model="block", num_blocks=5, gamma=2.0,
-                              standardize=True)
+        # drawn at the first gamma and kept: the bits that follow a draw at any gamma
+        pairs = [None] * 3
+        _measured_alpha_sq(5.0, 300, 16, 5, 13, 4000, pairs)
+        kept = list(pairs)
+        _measured_alpha_sq(0.4, 300, 16, 5, 13, 4000, pairs)
+        assert all(now is then for now, then in zip(pairs, kept))
+        spec = SimulationSpec(m=300, n=16, sigma_model="block", num_blocks=5, gamma=2.0)
         for rep, (i, j) in enumerate(pairs):
             rng = _substream(13, rep)
             sample_matrix_normal(spec, rng)
@@ -438,6 +450,10 @@ class TestCalibrationMatchesOracle:
 class TestCalibrateGamma:
     def test_zero_target(self):
         assert calibrate_gamma(0.0, m=100, n=10, num_blocks=5, reps=1, seed=0) == 0.0
+
+    def test_needs_a_replicate(self):
+        with pytest.raises(InvalidInput, match="reps must be positive"):
+            calibrate_gamma(0.2, m=100, n=10, num_blocks=5, reps=0, seed=0)
 
     def test_within_block_closed_form(self):
         assert within_block_correlation(1.23) == pytest.approx(0.602, abs=5e-4)

@@ -378,7 +378,8 @@ class TestPermPvalue:
         for stat in ("block", "trend"):
             fresh = perm_pvalue(x, stat, L=80, seed=6)
             reused = perm_pvalue(x, stat, L=80, seed=6, spectrum=spectral(x))
-            assert reused.to_dict(include_null=True) == fresh.to_dict(include_null=True)
+            assert reused.to_dict() == fresh.to_dict()
+            assert np.array_equal(reused.null_samples, fresh.null_samples)
 
 
 def _substream(seed, rep):
