@@ -16,7 +16,6 @@ from .correlation import (
     c2_from_spectrum,
     column_cov,
     correlation_report,
-    demeaned_cov_transform,
     effective_sample_size,
     offdiag_moments,
     row_corr_sample,
@@ -106,7 +105,6 @@ __all__ = [
     "corr_null_pvalue",
     "correlation_report",
     "demean",
-    "demeaned_cov_transform",
     "double_standardize",
     "effective_sample_size",
     "eigenratio",

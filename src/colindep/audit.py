@@ -30,6 +30,8 @@ from .errors import ColindepError, InvalidInput
 from .fdr import _NULL_MODELS, OutlierReport, scan_column_pairs
 from .jsonout import dumps
 from .matrix import (
+    MAX_ITER,
+    TOL_STD,
     DataMatrix,
     SpectralSummary,
     StandardizeInfo,
@@ -46,7 +48,7 @@ from .normal import (
     eigenratio_null,
     two_sample_w,
 )
-from .permutation import mc_pvalue, perm_pvalue
+from .permutation import TestResult, mc_pvalue, perm_pvalue
 
 _PERM_STATS = ("block", "trend", "trace")
 
@@ -68,8 +70,8 @@ class AuditConfig:
     min_block: int = 2
     max_block: int = 10
     pair_sample: int = 10_000
-    tol: float = 1e-8
-    max_iter: int = 50
+    tol: float = TOL_STD
+    max_iter: int = MAX_ITER
     estimator: str = field(default="eigen", init=False)
     fdr_null: str = "correlation"
     bilinear: bool | None = None
@@ -175,7 +177,6 @@ class Prepared:
             self.z,
             pair_count=cfg.pair_sample,
             seed=stage_seed(cfg.seed, "correlation"),
-            estimator=cfg.estimator,
             spectrum=self.spectrum,
         )
 
@@ -238,16 +239,9 @@ def eigenratio_stage(
         raise InvalidInput("eigenratio null must be 'wishart' or 'blocks'")
     s_obs = eigenratio(ctx.spectrum)
     p, exceed = mc_pvalue(nulls, s_obs)
-    entry = {
-        "method": stage,
-        "statistic": s_obs,
-        "p_value": p,
-        "L": int(nulls.size),
-        "exceed_count": exceed,
-        "seed": seed,
-        **extra,
-    }
-    return entry, nulls
+    res = TestResult(statistic=s_obs, null_samples=nulls, p_value=p, method=stage, seed=seed,
+                     exceed_count=exceed)
+    return {**res.to_dict(), **extra}, nulls
 
 
 def two_group_contrast(groups: list[str] | None) -> tuple[np.ndarray, int, int]:

@@ -3,14 +3,18 @@
 Subcommands: standardize, permtest, eigenratio-test, bilinear, fdr-scan,
 simulate, audit.  Exit codes: 0 success, 1 usage or parse error, 2
 numerical failure; an invalid setting exits 1 before any stage runs.
-``main`` writes each subcommand's report once, to ``--out`` or stdout:
-text, or JSON streamed through ``jsonout.write_json`` so no pair list is
-held as one string.  ``simulate`` writes each replicate of an eigenratio
-null (Wishart for ``--model wishart``, correlated rows for ``blocks``
-and ``spiked``) with its c2 and trace, and rejects the options of the
-other models.  Simulated null replicates run on one thread per CPU in
-the process's affinity mask (see ``normal.map_replicates``), and results
-do not depend on their number.  BLAS threads are the BLAS backend's
+Each option that sets an ``AuditConfig`` field parses into that field
+and is left unset unless given, so the config holds the one default;
+two subcommand defaults differ from it, ``permtest --L`` (5000) and
+``eigenratio-test --reps`` (100).  ``main`` writes each subcommand's
+report once, to ``--out`` or stdout: text, or JSON streamed through
+``jsonout.write_json`` so no pair list is held as one string.
+``simulate`` writes each replicate of an eigenratio null (Wishart for
+``--model wishart``, correlated rows for ``blocks`` and ``spiked``) with
+its c2 and trace, and rejects the options of the other models.
+Simulated null replicates run on one thread per CPU in the process's
+affinity mask (see ``normal.map_replicates``), and results do not
+depend on their number.  BLAS threads are the BLAS backend's
 (OMP_NUM_THREADS and the like); no other environment variables are read.
 """
 
@@ -22,6 +26,7 @@ import functools
 import math
 import sys
 from contextlib import nullcontext
+from dataclasses import fields
 
 import numpy as np
 
@@ -48,9 +53,12 @@ from .normal import SimulationSpec, _null_draws
 _USAGE_ERRORS = (InvalidInput, ParseError)
 _NUMERICAL_ERRORS = (NonConvergence, NumericalError, CalibrationFailure, np.linalg.LinAlgError)
 
+#: the AuditConfig fields an option may set
+_SETTINGS = frozenset(f.name for f in fields(AuditConfig) if f.init)
 #: the options each simulate model reads, with their defaults
-_SIMULATE_OPTIONS = {"wishart": {"df": None}, "blocks": {"m": 2000, "gamma": 0.0, "blocks": 5},
-                     "spiked": {"m": 2000, "lambda": 0.0}}
+_SIMULATE_OPTIONS = {"wishart": {"df": None},
+                     "blocks": {"m": AuditConfig.sim_m, "gamma": 0.0, "blocks": AuditConfig.sim_blocks},
+                     "spiked": {"m": AuditConfig.sim_m, "lambda": 0.0}}
 
 
 def _arg_type(convert, ok, expected: str):
@@ -69,9 +77,21 @@ def _arg_type(convert, ok, expected: str):
     return parse
 
 
+def _setting(p: argparse.ArgumentParser, flag: str, field: str, text: str, **kw) -> None:
+    """Option ``flag`` for ``AuditConfig.<field>``, unset unless given.
+
+    Its help shows the subcommand's ``set_defaults`` value, made before it, or the config's.
+    """
+    default = p.get_default(field)
+    default = getattr(AuditConfig, field) if default is None else default
+    if "choices" not in kw:
+        kw.setdefault("metavar", flag.lstrip("-").upper().replace("-", "_"))
+    p.add_argument(flag, dest=field, default=argparse.SUPPRESS, help=f"{text} (default: {default})", **kw)
+
+
 def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
-    p.add_argument("--seed", type=_arg_type(int, lambda v: v >= 0, "an integer of at least 0"), default=0,
-                   help="master RNG seed")
+    _setting(p, "--seed", "seed", "master RNG seed",
+             type=_arg_type(int, lambda v: v >= 0, "an integer of at least 0"))
     # only simulate takes no input; its --out is the draw file
     out_help = ("write the report here instead of stdout" if needs_input
                 else "write the draws here as CSV (required); the summary line goes to stdout")
@@ -82,8 +102,8 @@ def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
         p.add_argument("--header", choices=["auto", "yes", "no"], default="auto")
         p.add_argument("--row-ids", choices=["auto", "yes", "no"], default="auto")
         p.add_argument("--format", choices=["json", "text"], default="json")
-        p.add_argument("--tol", type=float, default=1e-8, help="standardization tolerance")
-        p.add_argument("--max-iter", type=int, default=50, help="standardization sweep cap")
+        _setting(p, "--tol", "tol", "standardization tolerance", type=float)
+        _setting(p, "--max-iter", "max_iter", "standardization sweep cap", type=int)
 
 
 def _parse_groups(arg: str | None) -> tuple[int, ...] | None:
@@ -98,7 +118,12 @@ def _parse_groups(arg: str | None) -> tuple[int, ...] | None:
     return sizes
 
 
-def _load(args, **fields) -> tuple[DataMatrix, list[str] | None, AuditConfig]:
+def _config(args) -> AuditConfig:
+    """The audit config of exactly the settings ``args`` holds; the rest keep their defaults."""
+    return AuditConfig(**{k: v for k, v in vars(args).items() if k in _SETTINGS})
+
+
+def _load(args) -> tuple[DataMatrix, list[str] | None, AuditConfig]:
     """The input, its group labels and the audit config the subcommand implies."""
     opts = ParseOptions(
         delimiter=args.delimiter,
@@ -107,13 +132,13 @@ def _load(args, **fields) -> tuple[DataMatrix, list[str] | None, AuditConfig]:
         group_sizes=_parse_groups(getattr(args, "groups", None)),
         groups_file=getattr(args, "groups_file", None),
     )
-    cfg = AuditConfig(seed=args.seed, tol=args.tol, max_iter=args.max_iter, **fields)
+    cfg = _config(args)
     return (*ingest(args.input, opts), cfg)
 
 
-def _prepare(args, **fields) -> tuple[Prepared, list[str] | None]:
+def _prepare(args) -> tuple[Prepared, list[str] | None]:
     """Load and standardize the input under the subcommand's audit config."""
-    x, labels, cfg = _load(args, **fields)
+    x, labels, cfg = _load(args)
     return prepare(x, cfg), labels
 
 
@@ -158,12 +183,12 @@ def _cmd_standardize(args) -> dict:
 
 
 def _cmd_permtest(args) -> dict:
-    ctx, _ = _prepare(args, L=args.L, min_block=args.min_block, max_block=args.max_block)
+    ctx, _ = _prepare(args)
     return _with_nulls(perm_stage(ctx, args.stat, conservative=args.conservative), args.null_out)
 
 
 def _cmd_eigenratio(args) -> dict:
-    ctx, _ = _prepare(args, eigen_reps=args.reps, sim_m=args.sim_m, sim_blocks=args.blocks)
+    ctx, _ = _prepare(args)
     return _with_nulls(eigenratio_stage(ctx, args.null, gamma=args.gamma), args.null_out)
 
 
@@ -173,8 +198,7 @@ def _cmd_bilinear(args) -> dict:
 
 
 def _cmd_fdr_scan(args) -> dict:
-    null = {"corr": "correlation", "gauss": "gaussian"}[args.null]
-    ctx, _ = _prepare(args, q=args.q, fdr_null=null)
+    ctx, _ = _prepare(args)
     out = fdr_stage(ctx, args.mtilde, two_sided=args.two_sided)
     if args.hist_out:
         counts, edges = np.histogram(out.r, bins=args.bins, range=(-1.0, 1.0))
@@ -192,8 +216,9 @@ def _cmd_simulate(args) -> str:
             if name not in opt:
                 raise InvalidInput(f"--model {args.model} does not read --{name}")
             opt[name] = getattr(args, name)
+    seed = _config(args).seed
     if args.model == "wishart":
-        draws = _null_draws("wishart", args.reps, args.n, args.seed, df=opt["df"])
+        draws = _null_draws("wishart", args.reps, args.n, seed, df=opt["df"])
     else:
         if args.model == "blocks":
             spec = SimulationSpec(m=opt["m"], n=args.n, sigma_model="block", num_blocks=opt["blocks"],
@@ -201,16 +226,13 @@ def _cmd_simulate(args) -> str:
         else:
             spec = SimulationSpec(m=opt["m"], n=args.n, delta_model="spiked", spike_lambda=opt["lambda"],
                                   spike_beta=np.full(args.n, 1.0 / np.sqrt(args.n)))
-        draws = _null_draws("correlated_rows", args.reps, args.n, args.seed, spec=spec)
+        draws = _null_draws("correlated_rows", args.reps, args.n, seed, spec=spec)
     _write_csv(args.out, ["eigenratio", "c2", "trace"], ([repr(v) for v in row] for row in draws.tolist()))
     return f"wrote {len(draws)} replicates to {args.out}"
 
 
 def _cmd_audit(args) -> AuditReport:
-    x, labels, cfg = _load(
-        args, L=args.L, eigen_reps=args.reps, q=args.q, min_block=args.min_block,
-        max_block=args.max_block, fdr_null=args.fdr_null, bilinear=args.bilinear or None,
-    )
+    x, labels, cfg = _load(args)
     return audit(x, cfg, groups=labels)
 
 
@@ -228,24 +250,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_standardize)
 
     p = sub.add_parser("permtest", help="permutation test of column-wise i.i.d.")
+    p.set_defaults(func=_cmd_permtest, L=5000)
     _add_common(p)
     p.add_argument("--stat", choices=["block", "trend", "trace"], required=True)
-    p.add_argument("--L", type=int, default=5000, help="number of permutations")
-    p.add_argument("--min-block", type=int, default=2)
-    p.add_argument("--max-block", type=int, default=10)
+    _setting(p, "--L", "L", "number of permutations", type=int)
+    _setting(p, "--min-block", "min_block", "shortest block run", type=int)
+    _setting(p, "--max-block", "max_block", "longest block run", type=int)
     p.add_argument("--conservative", action="store_true", help="use (count+1)/(L+1)")
     p.add_argument("--null-out", default=None, help="dump null samples to this CSV")
-    p.set_defaults(func=_cmd_permtest)
 
     p = sub.add_parser("eigenratio-test", help="eigenratio statistic against a simulated null")
+    p.set_defaults(func=_cmd_eigenratio, eigen_reps=100)
     _add_common(p)
     p.add_argument("--null", choices=["wishart", "blocks"], default="wishart")
-    p.add_argument("--reps", type=int, default=100)
+    _setting(p, "--reps", "eigen_reps", "null replicates", type=int)
     p.add_argument("--gamma", type=float, default=0.0, help="block effect size for --null blocks")
-    p.add_argument("--blocks", type=int, default=5)
-    p.add_argument("--sim-m", type=int, default=2000)
+    _setting(p, "--blocks", "sim_blocks", "row blocks of the blocks null", type=int)
+    _setting(p, "--sim-m", "sim_m", "rows per draw of the blocks null", type=int)
     p.add_argument("--null-out", default=None)
-    p.set_defaults(func=_cmd_eigenratio)
 
     p = sub.add_parser("bilinear", help="two-group bilinear statistic")
     _add_common(p)
@@ -255,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fdr-scan", help="FDR scan of pairwise column correlations")
     _add_common(p)
-    p.add_argument("--q", type=float, default=0.1)
-    p.add_argument("--null", choices=["corr", "gauss"], default="corr")
+    _setting(p, "--q", "q", "FDR level", type=float)
+    null = _arg_type({"corr": "correlation", "gauss": "gaussian"}.get, bool, "'corr' or 'gauss'")
+    _setting(p, "--null", "fdr_null", "corr or gauss null model", type=null, metavar="{corr,gauss}")
     mtilde = _arg_type(lambda a: None if a == "auto" else float(a), lambda v: v is None or 3.0 < v < math.inf,
                        "'auto' or a number, finite and above 3")
     p.add_argument("--mtilde", type=mtilde, default="auto", help="effective sample size, or 'auto'")
@@ -269,24 +292,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="draw replicate statistics from a null model")
     _add_common(p, needs_input=False)
     p.add_argument("--model", choices=["wishart", "blocks", "spiked"], required=True)
-    p.add_argument("--m", type=int, default=None, help="rows per draw (blocks, spiked; default 2000)")
+    p.add_argument("--m", type=int, help=f"rows per draw (blocks, spiked; default {AuditConfig.sim_m})")
     p.add_argument("--n", type=int, default=44)
     p.add_argument("--df", type=float, default=None, help="degrees of freedom (wishart; required)")
     p.add_argument("--gamma", type=float, default=None, help="block effect size (blocks; default 0)")
     p.add_argument("--lambda", type=float, default=None, dest="lambda", help="spike size (spiked; default 0)")
-    p.add_argument("--blocks", type=int, default=None, help="row blocks (blocks; default 5)")
+    p.add_argument("--blocks", type=int, help=f"row blocks (blocks; default {AuditConfig.sim_blocks})")
     p.add_argument("--reps", type=int, default=100)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("audit", help="run the full battery and emit a report")
     _add_common(p)
-    p.add_argument("--L", type=int, default=2000)
-    p.add_argument("--reps", type=int, default=200, help="eigenratio null replicates")
-    p.add_argument("--q", type=float, default=0.1)
-    p.add_argument("--min-block", type=int, default=2)
-    p.add_argument("--max-block", type=int, default=10)
-    p.add_argument("--fdr-null", choices=["correlation", "gaussian"], default="correlation")
-    p.add_argument("--bilinear", action="store_true", help="require the two-group test")
+    _setting(p, "--L", "L", "number of permutations per permutation test", type=int)
+    _setting(p, "--reps", "eigen_reps", "eigenratio null replicates", type=int)
+    _setting(p, "--q", "q", "FDR level of the scan", type=float)
+    _setting(p, "--min-block", "min_block", "shortest block run", type=int)
+    _setting(p, "--max-block", "max_block", "longest block run", type=int)
+    _setting(p, "--fdr-null", "fdr_null", "null model of the FDR scan", choices=["correlation", "gaussian"])
+    p.add_argument("--bilinear", action="store_true", default=argparse.SUPPRESS,
+                   help="require the two-group test")
     p.add_argument("--groups", default=None)
     p.add_argument("--groups-file", default=None)
     p.set_defaults(func=_cmd_audit)

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DegenerateAxis, InvalidInput
 from .matrix import DataMatrix, SpectralSummary, spectral
 
-_ESTIMATORS = ("eigen", "corrected", "simple")
 #: cells each side of the row-pair correlations gathers at a time: 512 KiB
 #: stays in cache, and each concurrent calibration replicate holds its own
 _PAIR_CELLS = 1 << 16
@@ -172,23 +171,6 @@ def effective_sample_size(m: int, alpha_sq: float) -> float:
     return m / (1.0 + (m - 1) * alpha_sq)
 
 
-def demeaned_cov_transform(delta: np.ndarray) -> np.ndarray:
-    """Covariance of demeaned columns given the covariance before demeaning.
-
-    Applies the double-centering D_jk - D_.k - D_j. + D_.. (dots denote
-    averages over the missing subscript).  The result is symmetric with
-    zero row and column sums.
-    """
-    d = np.asarray(delta, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise InvalidInput("delta must be square")
-    if not np.allclose(d, d.T, rtol=0.0, atol=1e-8 * (np.abs(d).max() + 1.0)):
-        raise InvalidInput("delta must be symmetric")
-    row = d.mean(axis=1, keepdims=True)
-    col = d.mean(axis=0, keepdims=True)
-    return d - row - col + d.mean()
-
-
 @dataclass(frozen=True)
 class CorrelationReport:
     """Correlation summary of a doubly standardized matrix.
@@ -197,7 +179,7 @@ class CorrelationReport:
     is the raw variance of sampled row correlations, and
     ``alpha_corrected_sq`` / ``alpha_simple_sq`` are its noise-corrected
     versions.  ``m_tilde`` is the effective sample size computed from
-    the estimator named in ``estimator``.
+    ``alpha_hat_sq``, the estimator that ``estimator`` names, ``"eigen"``.
     """
 
     m: int
@@ -238,19 +220,16 @@ def correlation_report(
     x: DataMatrix,
     pair_count: int = 10_000,
     seed: int = 0,
-    estimator: str = "eigen",
     spectrum: SpectralSummary | None = None,
 ) -> CorrelationReport:
     """Assemble the full correlation summary for a doubly standardized matrix.
 
-    ``estimator`` selects which alpha feeds the effective sample size:
-    ``"eigen"`` (spectral c2 route, the default), ``"corrected"`` or
-    ``"simple"`` (both derived from sampled row correlations).
+    The effective sample size comes from the spectral c2 route's
+    ``alpha_hat_sq``; the alphas of sampled row correlations are reported
+    beside it.
     """
     if x.state != "double_std":
         raise InvalidInput("correlation_report expects a doubly standardized matrix")
-    if estimator not in _ESTIMATORS:
-        raise InvalidInput(f"estimator must be one of {_ESTIMATORS}")
     m, n = x.m, x.n
     s = spectrum if spectrum is not None else spectral(x)
     c2 = c2_from_spectrum(s, m, n)
@@ -268,15 +247,7 @@ def correlation_report(
         alpha_corrected_sq, alpha_simple_sq = alpha_corrected(alpha_bar_sq, n)
     except InvalidInput:
         alpha_corrected_sq, alpha_simple_sq = None, None
-
-    chosen = {
-        "eigen": alpha_hat_sq,
-        "corrected": alpha_corrected_sq,
-        "simple": alpha_simple_sq,
-    }[estimator]
-    if chosen is None:
-        raise InvalidInput(f"estimator {estimator!r} unavailable for n={n}")
-    m_tilde = effective_sample_size(m, min(1.0, chosen))
+    m_tilde = effective_sample_size(m, min(1.0, alpha_hat_sq))
     return CorrelationReport(
         m=m,
         n=n,
@@ -288,7 +259,7 @@ def correlation_report(
         alpha_corrected_sq=alpha_corrected_sq,
         alpha_simple_sq=alpha_simple_sq,
         m_tilde=m_tilde,
-        estimator=estimator,
+        estimator="eigen",
         mean_row_corr=mean_row_corr,
         mean_shift_flag=mean_shift_flag,
     )

@@ -24,9 +24,11 @@ from .permutation import _null_rng
 
 _SIGMA_MODELS = ("identity", "block")
 _DELTA_MODELS = ("identity", "spiked")
-#: calibrate_gamma's tolerance on alpha, and the largest gamma it tries
+#: calibrate_gamma's tolerance on alpha, the top of its first bracket, and
+#: the largest gamma it tries when the bracket has to double
 CALIB_TOL = 0.005
-GAMMA_MAX = 5.0
+GAMMA_FIRST = 5.0
+GAMMA_MAX = 80.0
 
 
 @dataclass(frozen=True)
@@ -321,8 +323,12 @@ def _measured_alpha_sq(
     its row pairs ``pairs[r]`` as mean products of standardized rows.
     An empty slot (None) is filled with up to ``pair_count`` pairs drawn
     right after the matrix, where the stream does not depend on gamma.
+    The corrected estimator A^2 - 3 A^4/(n-5) falls past its peak at A^2
+    = (n-5)/6, so each spread is held at the peak's; a spread is at most
+    1 and reaches it only for n < 12.
     """
     spec = SimulationSpec(m=m, n=n, sigma_model="block", num_blocks=num_blocks, gamma=gamma)
+    peak_spread = ((n - 5) ** 2 / 6.0 + 1.0) / (n - 3)
 
     def replicate(rep: int) -> float:
         rng = _null_rng(seed, rep)
@@ -332,7 +338,7 @@ def _measured_alpha_sq(
         _standardize_axis(a, axis=0)
         _standardize_axis(a, axis=1)
         corrs = _standardized_row_products(a, *pairs[rep])
-        return alpha_corrected(float(corrs.var()), n)[0]
+        return alpha_corrected(min(float(corrs.var()), peak_spread), n)[0]
 
     est = 0.0
     for corrected in _pool_map(replicate, len(pairs)):  # in index order
@@ -356,9 +362,11 @@ def calibrate_gamma(
     estimate row correlations on random pairs and apply the
     noise-corrected estimator.  The same random numbers are reused at
     every trial gamma (the block effects enter as an explicit gamma
-    scaling), making the measured alpha a continuous increasing
-    function of gamma that plain bisection on [0, GAMMA_MAX] inverts
-    to within CALIB_TOL.  Each of the ``reps`` replicates draws its row
+    scaling) and the estimator is held at its peak, making the measured
+    alpha a continuous non-decreasing function of gamma that bisection
+    inverts to within CALIB_TOL.  The bracket [0, GAMMA_FIRST] doubles
+    its top, up to GAMMA_MAX, while alpha there falls short of the target,
+    as it can at small n.  Each of the ``reps`` replicates draws its row
     pairs at the first gamma, right after its matrix, and reuses them at
     every later gamma; its matrix is redrawn at each gamma and not kept.
     Requires n >= 6 for the corrected estimator.
@@ -375,13 +383,16 @@ def calibrate_gamma(
     def measure(g: float) -> float:
         return _measured_alpha_sq(g, m, n, num_blocks, seed, pair_count, pairs)
 
-    lo, hi = 0.0, GAMMA_MAX
+    lo, hi = 0.0, GAMMA_FIRST
     f_hi = measure(hi)
-    if f_hi < target_sq:
-        raise CalibrationFailure(
-            f"alpha({GAMMA_MAX}) = {math.sqrt(f_hi):.4f} is below target {target_alpha}"
-        )
-    while True:  # hi - lo halves each step: below 1e-4 by the 17th
+    while f_hi < target_sq:
+        if hi >= GAMMA_MAX:
+            raise CalibrationFailure(
+                f"alpha({hi}) = {math.sqrt(f_hi):.4f} is below target {target_alpha}"
+            )
+        lo, hi = hi, 2.0 * hi
+        f_hi = measure(hi)
+    while True:  # hi - lo halves each step: below 1e-4 by the 20th
         mid = 0.5 * (lo + hi)
         f_mid = measure(mid)
         if abs(math.sqrt(f_mid) - target_alpha) <= 0.5 * CALIB_TOL or hi - lo < 1e-4:

@@ -96,6 +96,14 @@ class TestAudit:
         assert report.errors["perm_block"] == report.errors["perm_trace"] == "min_len=8 exceeds n=6"
         assert "perm_trend" not in report.errors
 
+    def test_small_input_calibrates(self):
+        # at 60 x 6 the calibrated alpha passes the data's only beyond gamma = 5
+        x = DataMatrix(np.random.default_rng(133).standard_normal((60, 6)))
+        report = audit(x, AuditConfig(L=300, eigen_reps=40, sim_m=400, calib_reps=2))
+        assert report.errors == {}
+        blocks = next(t for t in report.tests if t["method"] == "eigenratio_blocks")
+        assert 5.0 < blocks["gamma"] and blocks["sim_m"] == 60
+
     def test_interleaved_groups_match_permuted_contiguous(self):
         x = np.random.default_rng(132).standard_normal((60, 6))
         labels = ["b", "a", "a", "b", "a", "a"]

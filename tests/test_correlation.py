@@ -13,7 +13,6 @@ from colindep import (
     column_cov,
     correlation_report,
     demean,
-    demeaned_cov_transform,
     double_standardize,
     effective_sample_size,
     offdiag_moments,
@@ -359,52 +358,6 @@ class TestEffectiveSampleSize:
             effective_sample_size(10, 1.5)
 
 
-class TestDemeanedCovTransform:
-    def test_identity(self):
-        n = 6
-        out = demeaned_cov_transform(np.eye(n))
-        assert np.allclose(out, np.eye(n) - np.ones((n, n)) / n)
-
-    def test_constant_matrix_vanishes(self):
-        out = demeaned_cov_transform(np.full((5, 5), 3.7))
-        assert np.allclose(out, 0.0, atol=1e-12)
-
-    def test_zero_margins(self):
-        rng = np.random.default_rng(51)
-        a = rng.standard_normal((7, 7))
-        out = demeaned_cov_transform(a + a.T)
-        assert np.allclose(out, out.T)
-        assert np.abs(out.sum(axis=0)).max() < 1e-12
-        assert np.abs(out.sum(axis=1)).max() < 1e-12
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(InvalidInput):
-            demeaned_cov_transform(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_matches_simulation(self):
-        # oracle: demean i.i.d. rows drawn with column covariance delta and
-        # compare one row's empirical covariance; demeaning scales the row
-        # side by (1 - 1/m)
-        rng = np.random.default_rng(52)
-        n, m, reps = 4, 5, 200_000
-        a = rng.standard_normal((n, n))
-        delta = a @ a.T + 0.5 * np.eye(n)
-        root = np.linalg.cholesky(delta)
-        draws = rng.standard_normal((reps, m, n)) @ root.T
-        demeaned = (
-            draws
-            - draws.mean(axis=2, keepdims=True)
-            - draws.mean(axis=1, keepdims=True)
-            + draws.mean(axis=(1, 2), keepdims=True)
-        )
-        row0 = demeaned[:, 0, :]
-        emp = row0.T @ row0 / reps
-        expected = (1 - 1 / m) * demeaned_cov_transform(delta)
-        var_entry = np.outer(np.diag(expected), np.diag(expected)) + expected**2
-        se = np.sqrt(np.abs(var_entry) / reps) + 1e-12
-        assert np.all(np.abs(emp - expected) < 4 * se)
-
-
 class TestCorrelationReport:
     def test_assembly_and_keys(self):
         rng = np.random.default_rng(53)
@@ -425,11 +378,12 @@ class TestCorrelationReport:
         with pytest.raises(InvalidInput):
             correlation_report(demean(DataMatrix(rng.standard_normal((20, 6)))))
 
-    def test_estimator_selection(self):
+    def test_m_tilde_from_spectral_alpha(self):
+        # the spectral c2 route is the one estimator; the report still names it
         rng = np.random.default_rng(55)
         z, _ = double_standardize(DataMatrix(rng.standard_normal((80, 14))), max_iter=200)
-        eig = correlation_report(z, seed=1, estimator="eigen")
-        cor = correlation_report(z, seed=1, estimator="corrected")
-        assert eig.m_tilde != cor.m_tilde
-        with pytest.raises(InvalidInput):
-            correlation_report(z, estimator="bayes")
+        rep = correlation_report(z, seed=1)
+        assert rep.m_tilde == effective_sample_size(80, min(1.0, rep.alpha_hat_sq))
+        assert rep.estimator == rep.to_dict()["estimator"] == "eigen"
+        with pytest.raises(TypeError):
+            correlation_report(z, seed=1, estimator="corrected")

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from colindep import (
-    ColindepError, DataMatrix, InvalidInput, ParseError, ParseOptions, SimulationSpec, cli,
+    AuditConfig, ColindepError, DataMatrix, InvalidInput, ParseError, ParseOptions, SimulationSpec, cli,
     double_standardize, eigenratio_null, ingest, sample_matrix_normal, write_matrix,
 )
 from colindep.cli import build_parser, main
@@ -590,6 +590,68 @@ class TestCli:
         before = open(matrix_file, "rb").read()
         main(["permtest", matrix_file, "--stat", "trend", "--L", "50", "--seed", "1"])
         assert open(matrix_file, "rb").read() == before
+
+
+_COMMON_SETTINGS = [(["--seed", "3"], "seed", 3), (["--tol", "1e-6"], "tol", 1e-6),
+                    (["--max-iter", "60"], "max_iter", 60)]
+_BLOCK_SETTINGS = [(["--min-block", "3"], "min_block", 3), (["--max-block", "4"], "max_block", 4)]
+#: subcommand that reads input: its required options, its own defaults, and its other settings
+_CONFIGS = {
+    "standardize": ([], {}, []),
+    "permtest": (["--stat", "block"], {"L": 5000}, [(["--L", "70"], "L", 70), *_BLOCK_SETTINGS]),
+    "eigenratio-test": ([], {"eigen_reps": 100},
+                        [(["--reps", "7"], "eigen_reps", 7), (["--blocks", "3"], "sim_blocks", 3),
+                         (["--sim-m", "90"], "sim_m", 90)]),
+    "bilinear": ([], {}, []),
+    "fdr-scan": ([], {}, [(["--q", "0.05"], "q", 0.05), (["--null", "gauss"], "fdr_null", "gaussian"),
+                          (["--null", "corr"], "fdr_null", "correlation")]),
+    "audit": ([], {}, [(["--L", "70"], "L", 70), (["--reps", "7"], "eigen_reps", 7), (["--q", "0.05"], "q", 0.05),
+                       *_BLOCK_SETTINGS, (["--fdr-null", "gaussian"], "fdr_null", "gaussian"),
+                       (["--bilinear"], "bilinear", True)]),
+}
+
+
+class TestCliConfig:
+    """Every setting's default lives in AuditConfig; options set exactly the fields given."""
+
+    @staticmethod
+    def _config(argv):
+        return cli._load(cli._parser().parse_args(argv))[2]
+
+    @pytest.mark.parametrize("sub", sorted(_CONFIGS))
+    def test_defaults_are_the_configs(self, matrix_file, sub):
+        required, own, _ = _CONFIGS[sub]
+        assert self._config([sub, matrix_file, *required]) == AuditConfig(**own)
+
+    @pytest.mark.parametrize("sub", sorted(_CONFIGS))
+    def test_each_option_lands_in_its_field(self, matrix_file, sub):
+        required, own, options = _CONFIGS[sub]
+        for option, field, value in _COMMON_SETTINGS + options:
+            assert self._config([sub, matrix_file, *required, *option]) == AuditConfig(**{**own, field: value})
+        given = dict(own)
+        argv = [sub, matrix_file, *required]
+        for option, field, value in _COMMON_SETTINGS + options:
+            argv += option
+            given[field] = value
+        assert self._config(argv) == AuditConfig(**given)
+
+    @pytest.mark.parametrize("sub", [*sorted(_CONFIGS), "simulate"])
+    def test_help(self, capsys, sub):
+        assert main([sub, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert text.startswith(f"usage: colindep {sub} ")
+        required, own, options = _CONFIGS.get(sub, ([], {}, []))
+        for option, field, _ in _COMMON_SETTINGS[:1 if sub == "simulate" else None] + options:
+            if field != "bilinear":
+                shown = text.split(f" {option[0]} ", 1)[1].split("(default: ", 1)[1].split(")", 1)[0]
+                assert shown == str(own.get(field, getattr(AuditConfig, field)))
+        if sub == "simulate":
+            assert f"(blocks, spiked; default {AuditConfig.sim_m})" in text
+            assert f"(blocks; default {AuditConfig.sim_blocks})" in text
+
+    def test_fdr_scan_null_must_be_corr_or_gauss(self, matrix_file, capsys):
+        assert main(["fdr-scan", matrix_file, "--null", "correlation"]) == 1
+        assert "argument --null: expected 'corr' or 'gauss', got 'correlation'" in capsys.readouterr().err
 
 
 def _substream(seed, rep):

@@ -404,6 +404,9 @@ class TestCalibrationMatchesOracle:
         (0.2, 300, 16, 3, 8, 4000),
         (0.18, 400, 24, 2, 96, 8000),
         (0.3, 500, 30, 3, 31, 6000),
+        # from n = 12 on no spread reaches the corrected estimator's peak
+        (0.3, 150, 12, 2, 4, 4000),
+        (0.35, 120, 12, 3, 9, 4000),
     ])
     def test_same_gamma_and_alpha(self, target, m, n, reps, seed, pair_count):
         want_gamma, want_sq = _oracle_calibrate(target, m, n, 5, reps, seed, pair_count)
@@ -474,6 +477,31 @@ class TestCalibrateGamma:
         with pytest.raises(CalibrationFailure):
             calibrate_gamma(0.95, m=150, n=12, num_blocks=5, reps=1, seed=97,
                             pair_count=2000)
+
+
+class TestCalibrationAtSmallN:
+    """At small n the corrected estimator turns down, and alpha rises slowly in gamma."""
+
+    def test_measurement_held_at_the_estimators_peak(self):
+        # two blocks at n = 6 push A^2 past (n-5)/6, where A^2 - 3A^4/(n-5) falls to 0
+        pairs = [None] * 4
+        alpha_sq = [_measured_alpha_sq(g, 200, 6, 2, 5, 20_000, pairs) for g in (2.0, 3.0, 5.0, 10.0, 20.0, 40.0)]
+        assert all(b >= a for a, b in zip(alpha_sq, alpha_sq[1:]))
+        assert alpha_sq[-1] == pytest.approx(1 / 12, rel=1e-12)  # the peak, (n-5)/12
+
+    def test_bracket_doubles_past_the_first(self):
+        # at 60 x 6 alpha reads 0 at GAMMA_FIRST and passes the target only past 20
+        seed, target = 25, 0.115
+        pairs = [None] * 2
+        assert _measured_alpha_sq(20.0, 60, 6, 5, seed, 20_000, pairs) < target**2
+        gamma = calibrate_gamma(target, m=60, n=6, num_blocks=5, reps=2, seed=seed)
+        assert 20.0 < gamma <= normal.GAMMA_MAX
+        got = np.sqrt(_measured_alpha_sq(gamma, 60, 6, 5, seed, 20_000, [None] * 2))
+        assert abs(got - target) <= normal.CALIB_TOL
+
+    def test_unreachable_target_names_gamma_max(self):
+        with pytest.raises(CalibrationFailure, match=rf"alpha\({normal.GAMMA_MAX}\) = "):
+            calibrate_gamma(0.9, m=60, n=6, num_blocks=5, reps=1, seed=3, pair_count=500)
 
 
 class TestTwoSampleW:
