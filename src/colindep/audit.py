@@ -155,7 +155,8 @@ class Prepared:
     """One standardized input and the summaries its stages share.
 
     ``z`` and ``info`` come from demeaning and double standardization,
-    done once in ``prepare`` in one m-by-n working copy of the input.
+    done once in ``prepare`` in one m-by-n working copy of the input, or
+    in the input's own values when it was handed over as scratch.
     ``spectrum`` (one eigendecomposition of the smaller Gram matrix of
     ``z``) and ``corr`` (which reuses it) are computed on first use, so a
     stage that needs neither, such as the trace permutation test, costs
@@ -185,7 +186,10 @@ def prepare(x: DataMatrix, config: AuditConfig) -> Prepared:
     """Demean and doubly standardize ``x`` for the stages below.
 
     The sweeps run in place in demeaning's output, so ``x`` and that one
-    copy are the only m-by-n arrays.
+    copy are the only m-by-n arrays.  A matrix marked with ``_scratch``,
+    as the CLI's ``_load`` returns it, is consumed instead: demeaning
+    and the sweeps overwrite its values, which become ``z``, and no
+    m-by-n copy is made.
     """
     z, info = double_standardize(demean(x)._scratch(), max_iter=config.max_iter, tol=config.tol)
     return Prepared(z, info, config)

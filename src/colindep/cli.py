@@ -124,7 +124,12 @@ def _config(args) -> AuditConfig:
 
 
 def _load(args) -> tuple[DataMatrix, list[str] | None, AuditConfig]:
-    """The input, its group labels and the audit config the subcommand implies."""
+    """The input, its group labels and the audit config the subcommand implies.
+
+    The input is marked scratch, so ``prepare`` demeans and standardizes
+    it in its own values: the parsed array is the call's one m-by-n
+    copy, and nothing reads the raw values after ``prepare``.
+    """
     opts = ParseOptions(
         delimiter=args.delimiter,
         header=args.header,
@@ -133,7 +138,8 @@ def _load(args) -> tuple[DataMatrix, list[str] | None, AuditConfig]:
         groups_file=getattr(args, "groups_file", None),
     )
     cfg = _config(args)
-    return (*ingest(args.input, opts), cfg)
+    x, labels = ingest(args.input, opts)
+    return x._scratch(), labels, cfg
 
 
 def _prepare(args) -> tuple[Prepared, list[str] | None]:

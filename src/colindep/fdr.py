@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc, ndtr
 
 from .correlation import column_cov
 from .errors import InvalidInput
@@ -34,6 +33,10 @@ def corr_null_pvalue(r, m_tilde: float, shift: float = 0.0):
     ``r``; ``m_tilde`` must be a finite number above 3.  An array is
     worked in one new array of its size, which becomes the result.
     """
+    # scipy.special is imported here, not with the module: it is most of
+    # the package's import time, and only the FDR p-values use it
+    from scipy.special import betainc
+
     if not 3.0 < m_tilde < math.inf:
         raise InvalidInput(f"m_tilde must be a finite number above 3, got {m_tilde}")
     rr = np.asarray(r, dtype=float)
@@ -200,6 +203,8 @@ def scan_column_pairs(
     if null_model == "correlation":
         p = corr_null_pvalue(r, m_tilde, shift=-1.0 / (n - 1))
     else:
+        from scipy.special import ndtr
+
         p = r - gauss_mu
         np.negative(p, out=p)
         p /= gauss_sd

@@ -67,8 +67,10 @@ class DataMatrix:
 
     def _scratch(self) -> DataMatrix:
         # mark a matrix that nothing else holds as scratch: its values turn
-        # writeable, and double_standardize overwrites them instead of
-        # copying; only an array that owns its data can be made writeable
+        # writeable, and demean and double_standardize overwrite them
+        # instead of copying; numpy makes an array writeable only when it
+        # owns its data or its base is writeable, as with ingest's view
+        # past the row-ID column
         self.values.setflags(write=True)
         return self
 
@@ -174,15 +176,20 @@ def demean(x: DataMatrix) -> DataMatrix:
     """Remove row, column and grand means: x_ij - xbar_i. - xbar_.j + xbar_.. .
 
     The result has every row sum and column sum equal to zero; the
-    operation is idempotent.  It makes one new m-by-n array: the row
-    means are subtracted into it, then the column means are subtracted
-    and the grand mean added in place, in the formula's order, so the
-    bits are the formula's.
+    operation is idempotent.  The three means are taken from the input
+    first; then the row means and the column means are subtracted and
+    the grand mean added in place, in the formula's order, so the bits
+    are the formula's.  They are worked in one new m-by-n array, or, for
+    a matrix handed over with ``_scratch``, in the input's own values.
     """
     a = x.values
-    out = a - a.mean(axis=1, keepdims=True)
-    out -= a.mean(axis=0, keepdims=True)
-    out += a.mean()
+    row_mean = a.mean(axis=1, keepdims=True)
+    col_mean = a.mean(axis=0, keepdims=True)
+    grand_mean = a.mean()
+    out = a if a.flags.writeable else a.copy()
+    out -= row_mean
+    out -= col_mean
+    out += grand_mean
     state = x.state if x.state in ("demeaned", "double_std") else "demeaned"
     return DataMatrix._adopt_checked(out, state)
 

@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 
 from colindep import (
     AuditConfig, ColindepError, DataMatrix, InvalidInput, ParseError, ParseOptions, SimulationSpec, cli,
-    double_standardize, eigenratio_null, ingest, sample_matrix_normal, write_matrix,
+    audit, double_standardize, eigenratio_null, ingest, sample_matrix_normal, write_matrix,
 )
 from colindep.cli import build_parser, main
 from colindep.normal import _bartlett_factor
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+#: the environment of a fresh interpreter that imports colindep from this tree
+_SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 
 class TestIngest:
@@ -549,10 +551,28 @@ class TestCli:
         assert main(["standardize", matrix_file, "--max-iter", "1"]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-        code = "import sys, colindep.cli; assert 'scipy.stats' not in sys.modules"
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    def test_import_leaves_scipy_unloaded(self):
+        code = "import sys, colindep.cli; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+        subprocess.run([sys.executable, "-c", code], env=_SRC_ENV, check=True)
+
+    def test_only_the_fdr_scan_loads_scipy(self, matrix_file, tmp_path):
+        # one fresh interpreter: the other subcommands run without scipy,
+        # then fdr-scan imports it for its p-values
+        code = f"""
+import sys
+from colindep.cli import main
+def scipy_loaded():
+    return any(m.split(".")[0] == "scipy" for m in sys.modules)
+f, out = {matrix_file!r}, {str(tmp_path / "out")!r}
+for argv in (["permtest", f, "--stat", "block", "--L", "50"], ["standardize", f],
+             ["eigenratio-test", f, "--reps", "10"], ["bilinear", f, "--groups", "5,5"],
+             ["simulate", "--model", "wishart", "--df", "8", "--n", "6", "--reps", "5"]):
+    assert main([*argv, "--out", out]) == 0, argv
+    assert not scipy_loaded(), argv
+assert main(["fdr-scan", f, "--out", out]) == 0
+assert scipy_loaded()
+"""
+        subprocess.run([sys.executable, "-c", code], env=_SRC_ENV, check=True, capture_output=True)
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
@@ -585,6 +605,21 @@ class TestCli:
             drawn.append(out.read_bytes())
         assert drawn[0] == drawn[1] == drawn[2]
         assert drawn[0].count(b"\n") == 10
+
+    def test_audit_of_row_id_file_matches_library(self, tmp_path):
+        # the CLI demeans and standardizes ingest's view past the row-ID
+        # column in place; the library works in a contiguous copy
+        a = np.random.default_rng(125).standard_normal((60, 8)) + 3.0
+        path = tmp_path / "ids.csv"
+        write_matrix(str(path), DataMatrix(a), header=[f"s{j}" for j in range(8)],
+                     row_ids=[f"g{i}" for i in range(60)])
+        report = _run_json(["audit", str(path), "--L", "100", "--reps", "10", "--seed", "2", "--groups", "4,4"],
+                           tmp_path / "audit.json")
+        report.pop("timings")
+        groups = ["group1"] * 4 + ["group2"] * 4
+        want = audit(DataMatrix(a), AuditConfig(seed=2, L=100, eigen_reps=10), groups=groups)
+        assert report == json.loads(want.to_json(exclude_timings=True))
+        assert report["errors"] == {}
 
     def test_input_file_not_mutated(self, matrix_file):
         before = open(matrix_file, "rb").read()

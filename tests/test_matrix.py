@@ -320,6 +320,7 @@ class TestFusedSweepMatchesOracle:
         a = np.random.default_rng(42).standard_normal((30, 7)) + 5.0
         x = DataMatrix(a)
         before = x.values.copy()
+        demean(x)
         double_standardize(x, max_iter=200)
         standardize_columns(x)
         standardize_rows(x)
@@ -451,6 +452,36 @@ class TestOneWorkingCopy:
         big[0, 0] = -1e308
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInput, match="finite"):
             demean(DataMatrix(big))
+
+    @pytest.mark.parametrize("row_ids", [False, True])
+    def test_scratch_demeaned_in_place(self, row_ids):
+        # ingest hands over the parsed array, or its view past the row-ID column
+        parsed = np.random.default_rng(47).standard_normal((50, 10)) * 3.0 + 7.0
+        a = parsed[:, 1:] if row_ids else parsed
+        want = demean(DataMatrix(a))
+        want_z, want_info = double_standardize(want)
+        x = DataMatrix._adopt_checked(a, "raw")._scratch()
+        d = demean(x)
+        assert np.shares_memory(d.values, x.values)
+        assert d.values.tobytes() == want.values.tobytes()
+        assert d.state == "demeaned" and not d.values.flags.writeable
+        z, info = double_standardize(d._scratch())
+        assert np.shares_memory(z.values, x.values)
+        assert z.values.tobytes() == want_z.values.tobytes() and info == want_info
+
+    @pytest.mark.parametrize("row_ids", [False, True])
+    def test_prepare_of_scratch_makes_no_copy(self, row_ids):
+        parsed = np.random.default_rng(48).standard_normal((2000, 64)) + 2.0
+        a = parsed[:, 1:] if row_ids else np.ascontiguousarray(parsed[:, 1:])
+        x = DataMatrix._adopt_checked(a, "raw")._scratch()
+        tracemalloc.start()
+        try:
+            ctx = prepare(x, AuditConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(ctx.z.values, x.values)
+        assert peak < 0.5 * x.values.nbytes
 
     def test_prepare_and_spectral_memory(self):
         # 20000 x 63: prepare holds one copy of the input (a copying demean
