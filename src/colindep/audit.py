@@ -40,7 +40,6 @@ from .matrix import (
     spectral,
 )
 from .normal import (
-    CALIB_TOL,
     SimulationSpec,
     bilinear_test,
     calibrate_gamma,
@@ -229,11 +228,9 @@ def eigenratio_stage(
     elif null == "blocks":
         sim_m = min(z.m, cfg.sim_m)
         if gamma is None:
-            alpha = float(np.sqrt(ctx.corr.alpha_hat_sq))
-            gamma = 0.0
-            if alpha > CALIB_TOL:  # an alpha within the calibration's tolerance of 0 takes gamma 0
-                gamma = calibrate_gamma(alpha, m=sim_m, n=z.n, num_blocks=cfg.sim_blocks,
-                                        reps=cfg.calib_reps, seed=stage_seed(cfg.seed, "calibrate"))
+            gamma = calibrate_gamma(float(np.sqrt(ctx.corr.alpha_hat_sq)), m=sim_m, n=z.n,
+                                    num_blocks=cfg.sim_blocks, reps=cfg.calib_reps,
+                                    seed=stage_seed(cfg.seed, "calibrate"))
         extra = {"gamma": gamma, "sim_m": sim_m}
         spec = SimulationSpec(
             m=sim_m, n=z.n, sigma_model="block", num_blocks=cfg.sim_blocks, gamma=gamma

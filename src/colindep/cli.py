@@ -270,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--null", choices=["wishart", "blocks"], default="wishart")
     _setting(p, "--reps", "eigen_reps", "null replicates", type=int)
-    p.add_argument("--gamma", type=float, default=0.0, help="block effect size for --null blocks")
+    p.add_argument("--gamma", type=float, default=None,
+                   help="block effect size for --null blocks (default: calibrated as in audit)")
     _setting(p, "--blocks", "sim_blocks", "row blocks of the blocks null", type=int)
     _setting(p, "--sim-m", "sim_m", "rows per draw of the blocks null", type=int)
     p.add_argument("--null-out", default=None)

@@ -19,7 +19,7 @@ from .errors import DegenerateAxis, InvalidInput
 from .matrix import DataMatrix, SpectralSummary, spectral
 
 #: cells each side of the row-pair correlations gathers at a time: 512 KiB
-#: stays in cache, and each concurrent calibration replicate holds its own
+#: stays in cache
 _PAIR_CELLS = 1 << 16
 
 
@@ -78,19 +78,6 @@ def _pearson_rows(values: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarra
     if bad.size:
         raise DegenerateAxis("row", int(j[bad[0]]))
     return ab / np.sqrt(na * nb)
-
-
-def _standardized_row_products(values: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    # correlations of row pairs of a row-standardized matrix: the mean
-    # product of the two rows, gathered about _PAIR_CELLS cells a side at a time
-    n = values.shape[1]
-    step = max(1, _PAIR_CELLS // n)
-    out = np.empty(i.size)
-    for start in range(0, i.size, step):
-        part = slice(start, start + step)
-        out[part] = np.einsum("ij,ij->i", values[i[part]], values[j[part]])
-    out /= n
-    return out
 
 
 def row_corr_sample(x: DataMatrix, count: int, seed: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .correlation import alpha_corrected, _pair_indices, _standardized_row_products
+from .correlation import offdiag_moments
 from .errors import CalibrationFailure, InvalidInput
 from .matrix import DataMatrix, SpectralSummary, _standardize_axis, double_standardize
 from .permutation import _null_rng
@@ -218,19 +218,6 @@ def _affinity_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pool_map(fn: Callable[[int], object], count: int) -> list:
-    # [fn(0), ..., fn(count - 1)] on one thread per CPU in the affinity
-    # mask, never more than count; a plain loop with one worker
-    workers = min(count, _affinity_cpus())
-    if workers <= 1:
-        return [fn(k) for k in range(count)]
-    pool = ThreadPoolExecutor(workers)
-    try:
-        return list(pool.map(fn, range(count)))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def map_replicates(
     fn: Callable[[np.random.Generator], object],
     reps: int,
@@ -246,7 +233,18 @@ def map_replicates(
     must not mutate shared state; then each result, landing at its
     index, does not depend on the worker count.
     """
-    return _pool_map(lambda rep: fn(_null_rng(seed, rep)), reps)
+
+    def call(rep: int) -> object:
+        return fn(_null_rng(seed, rep))
+
+    workers = min(reps, _affinity_cpus())
+    if workers <= 1:
+        return [call(rep) for rep in range(reps)]
+    pool = ThreadPoolExecutor(workers)
+    try:
+        return list(pool.map(call, range(reps)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _null_draws(
@@ -312,38 +310,29 @@ def eigenratio_null(
     return _null_draws(model, reps, n, seed, df, spec)[:, 0].copy()
 
 
-def _measured_alpha_sq(
-    gamma: float, m: int, n: int, num_blocks: int, seed: int, pair_count: int,
-    pairs: list[tuple[np.ndarray, np.ndarray] | None],
-) -> float:
-    """Monte Carlo estimate of alpha^2 for the column-standardized block model.
+def _measured_alpha_sq(gamma: float, m: int, n: int, num_blocks: int, seed: int, reps: int) -> float:
+    """Mean alpha_hat^2 of ``reps`` draws of the block model at ``gamma``.
 
-    Replicate r draws its matrix at ``gamma`` from substream (seed, r),
-    standardizes its columns and then its rows in place, and correlates
-    its row pairs ``pairs[r]`` as mean products of standardized rows.
-    An empty slot (None) is filled with up to ``pair_count`` pairs drawn
-    right after the matrix, where the stream does not depend on gamma.
-    The corrected estimator A^2 - 3 A^4/(n-5) falls past its peak at A^2
-    = (n-5)/6, so each spread is held at the peak's; a spread is at most
-    1 and reaches it only for n < 12.
+    Replicate r draws its matrix from substream (seed, r), standardizes
+    its columns and then its rows in place, and reads alpha_hat^2 as the
+    data's is read: ``offdiag_moments`` of c2, the mean squared entry of
+    X'X/m, or of XX'/n when m < n (the smaller Gram matrix, as in
+    ``spectral``).  The replicates' values are summed in index order.
     """
     spec = SimulationSpec(m=m, n=n, sigma_model="block", num_blocks=num_blocks, gamma=gamma)
-    peak_spread = ((n - 5) ** 2 / 6.0 + 1.0) / (n - 3)
 
-    def replicate(rep: int) -> float:
-        rng = _null_rng(seed, rep)
+    def replicate(rng: np.random.Generator) -> float:
         a = sample_matrix_normal(spec, rng)._scratch().values
-        if pairs[rep] is None:
-            pairs[rep] = _pair_indices(m, min(pair_count, m * (m - 1) // 2), rng)
         _standardize_axis(a, axis=0)
         _standardize_axis(a, axis=1)
-        corrs = _standardized_row_products(a, *pairs[rep])
-        return alpha_corrected(min(float(corrs.var()), peak_spread), n)[0]
+        gram = a.T @ a if n <= m else a @ a.T
+        gram /= max(m, n)
+        return offdiag_moments(float(np.mean(gram * gram)), n)[1]
 
     est = 0.0
-    for corrected in _pool_map(replicate, len(pairs)):  # in index order
-        est += corrected
-    return est / len(pairs)
+    for alpha_sq in map_replicates(replicate, reps, seed):
+        est += alpha_sq
+    return est / reps
 
 
 def calibrate_gamma(
@@ -353,36 +342,32 @@ def calibrate_gamma(
     num_blocks: int,
     reps: int,
     seed: int,
-    pair_count: int = 20_000,
 ) -> float:
     """Find the block-effect size gamma whose simulated alpha hits a target.
 
-    The measurement pipeline mirrors how alpha is estimated on data:
-    sample the block model, standardize its columns and then its rows,
-    estimate row correlations on random pairs and apply the
-    noise-corrected estimator.  The same random numbers are reused at
-    every trial gamma (the block effects enter as an explicit gamma
-    scaling) and the estimator is held at its peak, making the measured
-    alpha a continuous non-decreasing function of gamma that bisection
-    inverts to within CALIB_TOL.  The bracket [0, GAMMA_FIRST] doubles
-    its top, up to GAMMA_MAX, while alpha there falls short of the target,
-    as it can at small n.  Each of the ``reps`` replicates draws its row
-    pairs at the first gamma, right after its matrix, and reuses them at
-    every later gamma; its matrix is redrawn at each gamma and not kept.
-    Requires n >= 6 for the corrected estimator.
+    Each trial gamma is measured as the data's alpha_hat is: ``reps``
+    draws of the m-by-n block model, each standardized (columns, then
+    rows) and read through the c2 identity; see ``_measured_alpha_sq``.
+    The same random numbers are reused at every trial gamma (the block
+    effects enter as an explicit gamma scaling), which makes the
+    measured alpha a continuous function of gamma that bisection
+    inverts to within CALIB_TOL.  At gamma = 0 the measured alpha^2
+    keeps a floor of about 1/m, its sampling noise, so a target at or
+    below alpha(0) returns 0.  The bracket [0, GAMMA_FIRST] doubles its
+    top, up to GAMMA_MAX, while alpha there falls short of the target,
+    as it can at small n.  Requires n >= 3.
     """
     if not 0.0 <= target_alpha < 1.0:
         raise InvalidInput("target_alpha must lie in [0, 1)")
     if reps < 1:
         raise InvalidInput("reps must be positive")
-    if target_alpha == 0.0:
-        return 0.0
     target_sq = target_alpha * target_alpha
-    pairs: list[tuple[np.ndarray, np.ndarray] | None] = [None] * reps
 
     def measure(g: float) -> float:
-        return _measured_alpha_sq(g, m, n, num_blocks, seed, pair_count, pairs)
+        return _measured_alpha_sq(g, m, n, num_blocks, seed, reps)
 
+    if measure(0.0) >= target_sq:
+        return 0.0
     lo, hi = 0.0, GAMMA_FIRST
     f_hi = measure(hi)
     while f_hi < target_sq:

@@ -96,13 +96,23 @@ class TestAudit:
         assert report.errors["perm_block"] == report.errors["perm_trace"] == "min_len=8 exceeds n=6"
         assert "perm_trend" not in report.errors
 
-    def test_small_input_calibrates(self):
-        # at 60 x 6 the calibrated alpha passes the data's only beyond gamma = 5
-        x = DataMatrix(np.random.default_rng(133).standard_normal((60, 6)))
+    @staticmethod
+    def _small_iid_blocks_entry(n):
+        x = DataMatrix(np.random.default_rng(133).standard_normal((60, n)))
         report = audit(x, AuditConfig(L=300, eigen_reps=40, sim_m=400, calib_reps=2))
         assert report.errors == {}
         blocks = next(t for t in report.tests if t["method"] == "eigenratio_blocks")
-        assert 5.0 < blocks["gamma"] and blocks["sim_m"] == 60
+        assert blocks["sim_m"] == 60
+        return blocks
+
+    def test_small_input_calibrates(self):
+        # i.i.d. columns calibrate to a weak block model, not a near-degenerate one
+        assert 0.0 < self._small_iid_blocks_entry(6)["gamma"] < 1.0
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_narrow_iid_input_calibrates_to_zero(self, n):
+        # the data's alpha_hat lies under the floor the simulated alpha_hat keeps at gamma = 0
+        assert self._small_iid_blocks_entry(n)["gamma"] == 0.0
 
     def test_interleaved_groups_match_permuted_contiguous(self):
         x = np.random.default_rng(132).standard_normal((60, 6))

@@ -788,6 +788,18 @@ class TestSubcommandsMatchAudit:
         assert _run_json(["bilinear", *common, "--groups", "5,5"], out) == entries["bilinear"]
         assert _run_json(["fdr-scan", *common], out) == report["outliers"]
 
+    def test_blocks_null_calibrates_without_gamma(self, tmp_path):
+        # block-correlated rows, so the calibrated gamma is not the old default 0
+        data = str(tmp_path / "blocks.csv")
+        write_matrix(data, sample_matrix_normal(
+            SimulationSpec(m=120, n=12, sigma_model="block", num_blocks=5, gamma=0.8, seed=4)))
+        out = tmp_path / "res.json"
+        common = [data, "--seed", "5", "--reps", "15"]
+        report = _run_json(["audit", *common, "--L", "50"], out)
+        entry = next(t for t in report["tests"] if t["method"] == "eigenratio_blocks")
+        assert report["errors"] == {} and entry["gamma"] > 0.0
+        assert _run_json(["eigenratio-test", *common, "--null", "blocks"], out) == entry
+
     def test_interleaved_groups_match_permuted_contiguous(self, matrix_file, tmp_path):
         groups = tmp_path / "groups.txt"
         groups.write_text("a\nb\n" * 5)

@@ -25,9 +25,6 @@ from colindep import (
     two_sample_w,
     within_block_correlation,
 )
-from colindep.correlation import (
-    _pair_indices, _pearson_rows, _standardized_row_products, alpha_corrected,
-)
 from colindep.matrix import double_standardize, standardize_columns, standardize_rows
 from colindep.normal import _bartlett_factor, _measured_alpha_sq, _psd_eigenvalues, map_replicates
 
@@ -341,14 +338,7 @@ class TestResultsIndependentOfWorkers:
             assert np.array_equal(got, expected)
 
     def test_measured_alpha_sums_in_index_order(self, monkeypatch):
-        spec = SimulationSpec(m=300, n=16, sigma_model="block", num_blocks=5, gamma=0.7)
-        values, pairs = [], []
-        for rep in range(7):
-            rng = _substream(13, rep)
-            x = standardize_rows(standardize_columns(sample_matrix_normal(spec, rng)))
-            pairs.append(_pair_indices(300, 4000, rng))
-            corrs = _standardized_row_products(x.values, *pairs[-1])
-            values.append(alpha_corrected(float(corrs.var()), 16)[0])
+        values = [_oracle_replicate_alpha_sq(0.7, 300, 16, 5, 12, rep) for rep in range(7)]
         expected = backwards = 0.0
         for value, reverse in zip(values, reversed(values)):
             expected += value
@@ -357,34 +347,38 @@ class TestResultsIndependentOfWorkers:
         assert backwards != expected
         for workers in (1, 2, 3):
             _on_cpus(monkeypatch, workers)
-            assert _measured_alpha_sq(0.7, 300, 16, 5, 13, 4000, pairs) == expected / 7
+            assert _measured_alpha_sq(0.7, 300, 16, 5, 12, 7) == expected / 7
 
     def test_calibrated_gamma(self, monkeypatch):
         gammas = {}
         for workers in (1, 2, 3):
             _on_cpus(monkeypatch, workers)
-            gammas[workers] = calibrate_gamma(0.2, m=300, n=16, num_blocks=5, reps=3, seed=8,
-                                              pair_count=4000)
+            gammas[workers] = calibrate_gamma(0.2, m=300, n=16, num_blocks=5, reps=3, seed=8)
         assert gammas[1] == gammas[2] == gammas[3]
         assert 0.0 < gammas[1] < 5.0
 
 
-def _oracle_alpha_sq(gamma, m, n, num_blocks, reps, seed, pair_count):
-    """The calibration measurement before cached pairs: a fresh draw and pairs at every gamma."""
-    count = min(pair_count, m * (m - 1) // 2)
+def _oracle_replicate_alpha_sq(gamma, m, n, num_blocks, seed, rep):
+    """alpha_hat^2 of one draw: the off-diagonal spread of X'X/m after one sweep, columns then rows."""
     spec = SimulationSpec(m=m, n=n, sigma_model="block", num_blocks=num_blocks, gamma=gamma)
+    x = standardize_rows(standardize_columns(sample_matrix_normal(spec, _substream(seed, rep)))).values
+    g = x.T @ x / m
+    return max(0.0, n / (n - 1) * (float(np.mean(g * g)) - 1.0 / (n - 1)))
+
+
+def _oracle_alpha_sq(gamma, m, n, num_blocks, seed, reps):
     est = 0.0
     for rep in range(reps):
-        rng = _substream(seed, rep)
-        x = standardize_columns(sample_matrix_normal(spec, rng))
-        corrs = _pearson_rows(x.values, *_pair_indices(m, count, rng))
-        est += alpha_corrected(float(corrs.var()), n)[0]
+        est += _oracle_replicate_alpha_sq(gamma, m, n, num_blocks, seed, rep)
     return est / reps
 
 
-def _oracle_calibrate(target, m, n, num_blocks, reps, seed, pair_count, tol=0.005):
-    """Bisection as in calibrate_gamma; returns gamma and the measured alpha^2 there."""
-    measure = lambda g: _oracle_alpha_sq(g, m, n, num_blocks, reps, seed, pair_count)
+def _oracle_calibrate(target, m, n, num_blocks, reps, seed, tol=0.005):
+    """Plain bisection on [0, 5] after the gamma = 0 rule; returns gamma and alpha^2 there."""
+    measure = lambda g: _oracle_alpha_sq(g, m, n, num_blocks, seed, reps)
+    f_zero = measure(0.0)
+    if f_zero >= target * target:
+        return 0.0, f_zero
     lo, hi = 0.0, 5.0
     assert measure(hi) >= target * target
     for _ in range(60):
@@ -397,57 +391,40 @@ def _oracle_calibrate(target, m, n, num_blocks, reps, seed, pair_count, tol=0.00
 
 
 class TestCalibrationMatchesOracle:
-    """Cached pairs and standardized-row products give the oracle's gamma."""
+    """Each trial gamma is measured as the data's alpha_hat is, through the c2 identity."""
 
-    @pytest.mark.parametrize("target, m, n, reps, seed, pair_count", [
-        (0.241, 2000, 63, 4, 5, 20_000),
-        (0.2, 300, 16, 3, 8, 4000),
-        (0.18, 400, 24, 2, 96, 8000),
-        (0.3, 500, 30, 3, 31, 6000),
-        # from n = 12 on no spread reaches the corrected estimator's peak
-        (0.3, 150, 12, 2, 4, 4000),
-        (0.35, 120, 12, 3, 9, 4000),
+    @pytest.mark.parametrize("gamma, m, n, reps, seed", [
+        (0.0, 200, 8, 3, 2), (1.3, 60, 6, 2, 25), (4.0, 2000, 63, 4, 5),
     ])
-    def test_same_gamma_and_alpha(self, target, m, n, reps, seed, pair_count):
-        want_gamma, want_sq = _oracle_calibrate(target, m, n, 5, reps, seed, pair_count)
-        gamma = calibrate_gamma(target, m=m, n=n, num_blocks=5, reps=reps, seed=seed,
-                                pair_count=pair_count)
+    def test_measurement_is_the_oracle_at_any_worker_count(self, monkeypatch, gamma, m, n, reps, seed):
+        expected = _oracle_alpha_sq(gamma, m, n, 5, seed, reps)
+        for workers in (1, normal._affinity_cpus()):
+            _on_cpus(monkeypatch, workers)
+            assert _measured_alpha_sq(gamma, m, n, 5, seed, reps) == expected
+
+    @pytest.mark.parametrize("gamma, seed", [(0.0, 4), (0.9, 11)])
+    def test_wide_draw_reads_the_smaller_gram(self, gamma, seed):
+        # at m < n the m-by-m XX'/n has the mean square of the n-by-n X'X/m
+        expected = _oracle_alpha_sq(gamma, 40, 150, 5, seed, 3)
+        assert _measured_alpha_sq(gamma, 40, 150, 5, seed, 3) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("target, m, n, reps, seed", [
+        (0.241, 2000, 63, 4, 5),
+        (0.2, 300, 16, 3, 8),
+        (0.18, 400, 24, 2, 96),
+        (0.3, 500, 30, 3, 31),
+        (0.3, 150, 12, 2, 4),
+        (0.35, 120, 12, 3, 9),
+        (0.15, 60, 6, 2, 25),
+        # below the floor of about 1/m that alpha_hat^2 keeps at gamma = 0
+        (0.05, 200, 8, 3, 2),
+        (0.1, 60, 3, 2, 7),
+    ])
+    def test_same_gamma_and_alpha(self, target, m, n, reps, seed):
+        want_gamma, want_sq = _oracle_calibrate(target, m, n, 5, reps, seed)
+        gamma = calibrate_gamma(target, m=m, n=n, num_blocks=5, reps=reps, seed=seed)
         assert gamma == want_gamma
-        got_sq = _measured_alpha_sq(gamma, m, n, 5, seed, pair_count, [None] * reps)
-        assert abs(got_sq - want_sq) <= 1e-12 * want_sq
-
-    def test_pair_slots_filled_under_contention(self, monkeypatch):
-        # each replicate writes only its own slot: more threads than cores and
-        # frequent switches lose no pairs and change no bits
-        cores = normal._affinity_cpus()
-        _on_cpus(monkeypatch, 1)
-        serial = [None] * 24
-        expected = _measured_alpha_sq(1.0, 120, 8, 5, 21, 500, serial)
-        _on_cpus(monkeypatch, 4 * cores)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pairs = [None] * 24
-            got = _measured_alpha_sq(1.0, 120, 8, 5, 21, 500, pairs)
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == expected
-        for (i, j), (want_i, want_j) in zip(pairs, serial):
-            assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
-
-    def test_pairs_drawn_after_each_matrix(self):
-        # drawn at the first gamma and kept: the bits that follow a draw at any gamma
-        pairs = [None] * 3
-        _measured_alpha_sq(5.0, 300, 16, 5, 13, 4000, pairs)
-        kept = list(pairs)
-        _measured_alpha_sq(0.4, 300, 16, 5, 13, 4000, pairs)
-        assert all(now is then for now, then in zip(pairs, kept))
-        spec = SimulationSpec(m=300, n=16, sigma_model="block", num_blocks=5, gamma=2.0)
-        for rep, (i, j) in enumerate(pairs):
-            rng = _substream(13, rep)
-            sample_matrix_normal(spec, rng)
-            want_i, want_j = _pair_indices(300, 4000, rng)
-            assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+        assert _measured_alpha_sq(gamma, m, n, 5, seed, reps) == want_sq
 
 
 class TestCalibrateGamma:
@@ -457,6 +434,10 @@ class TestCalibrateGamma:
     def test_needs_a_replicate(self):
         with pytest.raises(InvalidInput, match="reps must be positive"):
             calibrate_gamma(0.2, m=100, n=10, num_blocks=5, reps=0, seed=0)
+
+    def test_needs_three_columns(self):
+        with pytest.raises(InvalidInput, match="n must be at least 3"):
+            calibrate_gamma(0.2, m=100, n=2, num_blocks=5, reps=1, seed=0)
 
     def test_within_block_closed_form(self):
         assert within_block_correlation(1.23) == pytest.approx(0.602, abs=5e-4)
@@ -469,39 +450,28 @@ class TestCalibrateGamma:
         assert block_total_correlation(m, blocks, gamma) == pytest.approx(oracle)
 
     def test_small_scale_calibration(self):
-        gamma = calibrate_gamma(0.18, m=400, n=24, num_blocks=5, reps=2, seed=96,
-                                pair_count=8000)
+        gamma = calibrate_gamma(0.18, m=400, n=24, num_blocks=5, reps=2, seed=96)
         assert 0.4 < gamma < 2.5
 
     def test_unreachable_target(self):
         with pytest.raises(CalibrationFailure):
-            calibrate_gamma(0.95, m=150, n=12, num_blocks=5, reps=1, seed=97,
-                            pair_count=2000)
+            calibrate_gamma(0.95, m=150, n=12, num_blocks=5, reps=1, seed=97)
 
 
 class TestCalibrationAtSmallN:
-    """At small n the corrected estimator turns down, and alpha rises slowly in gamma."""
-
-    def test_measurement_held_at_the_estimators_peak(self):
-        # two blocks at n = 6 push A^2 past (n-5)/6, where A^2 - 3A^4/(n-5) falls to 0
-        pairs = [None] * 4
-        alpha_sq = [_measured_alpha_sq(g, 200, 6, 2, 5, 20_000, pairs) for g in (2.0, 3.0, 5.0, 10.0, 20.0, 40.0)]
-        assert all(b >= a for a, b in zip(alpha_sq, alpha_sq[1:]))
-        assert alpha_sq[-1] == pytest.approx(1 / 12, rel=1e-12)  # the peak, (n-5)/12
+    """At small n alpha_hat rises slowly in gamma, and some targets lie past GAMMA_FIRST."""
 
     def test_bracket_doubles_past_the_first(self):
-        # at 60 x 6 alpha reads 0 at GAMMA_FIRST and passes the target only past 20
-        seed, target = 25, 0.115
-        pairs = [None] * 2
-        assert _measured_alpha_sq(20.0, 60, 6, 5, seed, 20_000, pairs) < target**2
-        gamma = calibrate_gamma(target, m=60, n=6, num_blocks=5, reps=2, seed=seed)
-        assert 20.0 < gamma <= normal.GAMMA_MAX
-        got = np.sqrt(_measured_alpha_sq(gamma, 60, 6, 5, seed, 20_000, [None] * 2))
+        seed, target = 3, 0.37
+        assert _measured_alpha_sq(normal.GAMMA_FIRST, 200, 6, 5, seed, 2) < target**2
+        gamma = calibrate_gamma(target, m=200, n=6, num_blocks=5, reps=2, seed=seed)
+        assert normal.GAMMA_FIRST < gamma <= normal.GAMMA_MAX
+        got = np.sqrt(_measured_alpha_sq(gamma, 200, 6, 5, seed, 2))
         assert abs(got - target) <= normal.CALIB_TOL
 
     def test_unreachable_target_names_gamma_max(self):
         with pytest.raises(CalibrationFailure, match=rf"alpha\({normal.GAMMA_MAX}\) = "):
-            calibrate_gamma(0.9, m=60, n=6, num_blocks=5, reps=1, seed=3, pair_count=500)
+            calibrate_gamma(0.9, m=60, n=6, num_blocks=5, reps=1, seed=3)
 
 
 class TestTwoSampleW:
