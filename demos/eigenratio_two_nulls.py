@@ -32,7 +32,7 @@ raw[:, 31] = 0.60 * raw[:, 30] + 0.80 * rng.standard_normal(m)
 z, _ = double_standardize(DataMatrix(raw))
 
 s_obs = eigenratio(spectral(z))
-report = correlation_report(z, seed=1)
+report = correlation_report(z)
 alpha = float(np.sqrt(report.alpha_hat_sq))
 print(f"observed eigenratio S = {s_obs:.3f}")
 print(f"estimated alpha = {alpha:.3f}, effective sample size = {report.m_tilde:.1f}")

@@ -29,7 +29,7 @@ raw = sample_matrix_normal(spec).values.copy()
 raw[:, 32] = 0.85 * raw[:, 31] + rng.standard_normal(m)
 
 z, _ = double_standardize(DataMatrix(raw))
-report = correlation_report(z, seed=2)
+report = correlation_report(z)
 print(f"matrix {m} x {n}; estimated alpha = {np.sqrt(report.alpha_hat_sq):.3f}, "
       f"m_tilde = {report.m_tilde:.1f}")
 print(f"planted: columns 32 and 33 correlated beyond the row-induced spread\n")

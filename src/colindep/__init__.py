@@ -18,7 +18,6 @@ from .correlation import (
     correlation_report,
     effective_sample_size,
     offdiag_moments,
-    row_corr_sample,
 )
 from .errors import (
     CalibrationFailure,
@@ -115,7 +114,6 @@ __all__ = [
     "mc_pvalue",
     "offdiag_moments",
     "perm_pvalue",
-    "row_corr_sample",
     "sample_matrix_normal",
     "sample_wishart",
     "scan_column_pairs",

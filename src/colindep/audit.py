@@ -68,7 +68,6 @@ class AuditConfig:
     q: float = 0.1
     min_block: int = 2
     max_block: int = 10
-    pair_sample: int = 10_000
     tol: float = TOL_STD
     max_iter: int = MAX_ITER
     estimator: str = field(default="eigen", init=False)
@@ -87,7 +86,6 @@ class AuditConfig:
             (0.0 < self.q < 1.0, "q must lie in (0, 1)"),
             (self.min_block >= 2, "min_block must be at least 2"),
             (self.min_block <= self.max_block, "min_block must not exceed max_block"),
-            (self.pair_sample >= 1, "pair_sample must be positive"),
             (self.tol > 0.0, "tol must be positive"),
             (self.max_iter >= 1, "max_iter must be at least 1"),
             (self.fdr_null in _NULL_MODELS, f"fdr_null must be one of {_NULL_MODELS}"),
@@ -159,7 +157,7 @@ class Prepared:
     ``spectrum`` (one eigendecomposition of the smaller Gram matrix of
     ``z``) and ``corr`` (which reuses it) are computed on first use, so a
     stage that needs neither, such as the trace permutation test, costs
-    no spectrum and no pair sampling.
+    no spectrum.
     """
 
     z: DataMatrix
@@ -172,13 +170,7 @@ class Prepared:
 
     @cached_property
     def corr(self) -> CorrelationReport:
-        cfg = self.config
-        return correlation_report(
-            self.z,
-            pair_count=cfg.pair_sample,
-            seed=stage_seed(cfg.seed, "correlation"),
-            spectrum=self.spectrum,
-        )
+        return correlation_report(self.z, spectrum=self.spectrum)
 
 
 def prepare(x: DataMatrix, config: AuditConfig) -> Prepared:
@@ -318,11 +310,6 @@ def audit(x: DataMatrix, config: AuditConfig | None = None, groups: list[str] | 
         ctx = prepare(x, cfg)
     with stage("correlation", recoverable=False):
         corr = ctx.corr
-    if corr.mean_shift_flag:
-        report_warnings.append(
-            "sampled row correlations are far from centered; "
-            "noise-corrected alpha estimates may be off"
-        )
 
     for stat in _PERM_STATS:
         name = f"perm_{stat}"

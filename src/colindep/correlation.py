@@ -6,7 +6,11 @@ X'X; the m*m entries of XX'/n share the same mean and variance.  This
 identity is the backbone of the estimators in this module: the spread
 of observed column correlations can be produced entirely by correlation
 among the rows, and c2 is computable from the spectrum without ever
-materializing the m*m row covariance matrix.
+materializing the m*m row covariance matrix.  On a doubly standardized
+matrix the off-diagonal entries of X'X/m are the column correlations,
+with mean -1/(n-1) and variance (n/(n-1)) * (c2 - 1/(n-1)); those of
+XX'/n are the row correlations, with mean -1/(m-1) and variance
+(m/(m-1)) * (c2 - 1/(m-1)).  Both follow from c2 alone.
 """
 
 from __future__ import annotations
@@ -15,12 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAxis, InvalidInput
+from .errors import InvalidInput
 from .matrix import DataMatrix, SpectralSummary, spectral
-
-#: cells each side of the row-pair correlations gathers at a time: 512 KiB
-#: stays in cache
-_PAIR_CELLS = 1 << 16
 
 
 def column_cov(x: DataMatrix) -> np.ndarray:
@@ -39,65 +39,6 @@ def column_cov(x: DataMatrix) -> np.ndarray:
     cov = a.T @ a
     cov /= x.m
     return cov
-
-
-def _pair_indices(m: int, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    # distinct ranks in row-major triu order
-    return _unrank_pairs(m, rng.choice(m * (m - 1) // 2, size=count, replace=False))
-
-
-def _unrank_pairs(m: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (i < j) of ``m`` items at ranks ``k`` of the row-major ``triu`` order.
-
-    Exact integer arithmetic: row i holds ranks starts[i] .. starts[i] + m - i - 2.
-    """
-    r = np.arange(m - 1)
-    starts = r * (2 * m - r - 1) // 2
-    i = np.searchsorted(starts, k, side="right") - 1
-    return i, k - starts[i] + i + 1
-
-
-def _pearson_rows(values: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    # each side gathers about _PAIR_CELLS cells at a time; each pair's
-    # arithmetic is the same as in one batch, so the values are too
-    step = max(1, _PAIR_CELLS // values.shape[1])
-    na, nb, ab = np.empty(i.size), np.empty(i.size), np.empty(i.size)
-    for start in range(0, i.size, step):
-        part = slice(start, start + step)
-        a = values[i[part]]
-        b = values[j[part]]
-        a -= a.mean(axis=1, keepdims=True)
-        b -= b.mean(axis=1, keepdims=True)
-        na[part] = np.einsum("ij,ij->i", a, a)
-        nb[part] = np.einsum("ij,ij->i", b, b)
-        ab[part] = np.einsum("ij,ij->i", a, b)
-    bad = np.nonzero(na <= 0)[0]
-    if bad.size:
-        raise DegenerateAxis("row", int(i[bad[0]]))
-    bad = np.nonzero(nb <= 0)[0]
-    if bad.size:
-        raise DegenerateAxis("row", int(j[bad[0]]))
-    return ab / np.sqrt(na * nb)
-
-
-def row_corr_sample(x: DataMatrix, count: int, seed: int) -> np.ndarray:
-    """Pearson correlations for ``count`` distinct row pairs drawn uniformly.
-
-    Pairs (i, j) with i < j are sampled without replacement, for every
-    m, by drawing ``count`` distinct ranks in [0, m(m-1)/2) and
-    unranking each into its pair in row-major order, in O(count + m)
-    memory.  The result is reproducible from ``seed``.  Asking for more
-    pairs than m(m-1)/2 raises InvalidInput.
-    """
-    m = x.m
-    total = m * (m - 1) // 2
-    if count < 1:
-        raise InvalidInput("count must be positive")
-    if count > total:
-        raise InvalidInput(f"count={count} exceeds the {total} available row pairs")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    i, j = _pair_indices(m, count, rng)
-    return _pearson_rows(x.values, i, j)
 
 
 def c2_from_spectrum(s: SpectralSummary, m: int, n: int) -> float:
@@ -124,10 +65,11 @@ def offdiag_moments(c2: float, n: int) -> tuple[float, float]:
 def alpha_corrected(alpha_bar_sq: float, n: int) -> tuple[float, float]:
     """Noise-corrected estimates of the squared total correlation.
 
-    ``alpha_bar_sq`` is the raw spread (mean square, or variance when the
-    sampled mean is near zero) of row correlations estimated from n
-    columns.  Each estimated correlation carries sampling noise of order
-    1/(n-3), which inflates the raw spread; the corrected estimate
+    ``alpha_bar_sq`` is the raw spread (variance, or mean square when
+    the correlations are centered near zero) of row correlations
+    estimated from n columns.  Each estimated correlation carries
+    sampling noise of order 1/(n-3), which inflates the raw spread; the
+    corrected estimate
 
         A^2 = ((n-3) * alpha_bar_sq - 1) / (n-5)
         alpha_hat_sq = A^2 - 3 A^4 / (n-5)
@@ -135,8 +77,6 @@ def alpha_corrected(alpha_bar_sq: float, n: int) -> tuple[float, float]:
     removes that inflation (clamped at zero when negative).  Also
     returned is the simpler deflation (n/(n-1)) * (alpha_bar_sq -
     1/(n-1)), an excellent approximation for raw spreads up to ~0.5.
-    The correction assumes the sampled correlations are centered near
-    zero.
     """
     if n <= 5:
         raise InvalidInput("the corrected estimator requires n >= 6")
@@ -162,11 +102,14 @@ def effective_sample_size(m: int, alpha_sq: float) -> float:
 class CorrelationReport:
     """Correlation summary of a doubly standardized matrix.
 
-    ``alpha_hat_sq`` comes from the spectral c2 route, ``alpha_bar_sq``
-    is the raw variance of sampled row correlations, and
+    ``alpha_hat_sq`` is the variance of the off-diagonal column
+    correlations, (n/(n-1)) * (c2 - 1/(n-1)), and ``mu_hat`` their mean,
+    -1/(n-1).  ``alpha_bar_sq`` is the variance of the off-diagonal row
+    correlations, (m/(m-1)) * (c2 - 1/(m-1)), whose mean is -1/(m-1);
     ``alpha_corrected_sq`` / ``alpha_simple_sq`` are its noise-corrected
-    versions.  ``m_tilde`` is the effective sample size computed from
-    ``alpha_hat_sq``, the estimator that ``estimator`` names, ``"eigen"``.
+    versions (None when n <= 5).  All of them come from c2.  ``m_tilde``
+    is the effective sample size computed from ``alpha_hat_sq``, the
+    estimator that ``estimator`` names, ``"eigen"``.
     """
 
     m: int
@@ -180,8 +123,6 @@ class CorrelationReport:
     alpha_simple_sq: float | None
     m_tilde: float
     estimator: str
-    mean_row_corr: float
-    mean_shift_flag: bool
 
     def to_dict(self) -> dict:
         def _sqrt(v):
@@ -199,21 +140,19 @@ class CorrelationReport:
             "m": self.m,
             "K": self.rank,
             "estimator": self.estimator,
-            "mean_shift_flag": self.mean_shift_flag,
         }
 
 
-def correlation_report(
-    x: DataMatrix,
-    pair_count: int = 10_000,
-    seed: int = 0,
-    spectrum: SpectralSummary | None = None,
-) -> CorrelationReport:
+def correlation_report(x: DataMatrix, spectrum: SpectralSummary | None = None) -> CorrelationReport:
     """Assemble the full correlation summary for a doubly standardized matrix.
 
-    The effective sample size comes from the spectral c2 route's
-    ``alpha_hat_sq``; the alphas of sampled row correlations are reported
-    beside it.
+    Every field comes from c2 of the one spectrum, ``spectrum`` when
+    given: the column correlations' moments through ``offdiag_moments``,
+    the effective sample size from their variance ``alpha_hat_sq``, and
+    the row correlations' variance ``alpha_bar_sq`` = (m/(m-1)) * (c2 -
+    1/(m-1)), clamped at zero, beside it.  The rows of XX'/n have unit
+    diagonal and zero sums, so that is the exact variance of all
+    m(m-1)/2 row correlations, about their exact mean -1/(m-1).
     """
     if x.state != "double_std":
         raise InvalidInput("correlation_report expects a doubly standardized matrix")
@@ -221,15 +160,8 @@ def correlation_report(
     s = spectrum if spectrum is not None else spectral(x)
     c2 = c2_from_spectrum(s, m, n)
     mu_hat, alpha_hat_sq = offdiag_moments(c2, n)
-
-    total_pairs = m * (m - 1) // 2
-    count = min(pair_count, total_pairs)
-    corrs = row_corr_sample(x, count, seed)
-    mean_row_corr = float(corrs.mean())
-    alpha_bar_sq = float(corrs.var())
-    # the noise correction assumes the sampled correlations center near
-    # the value forced by row demeaning, -1/(m-1)
-    mean_shift_flag = abs(mean_row_corr + 1.0 / (m - 1)) > 0.05
+    # offdiag_moments read along the rows; written out, since m = 2 is allowed here
+    alpha_bar_sq = max(0.0, m / (m - 1) * (c2 - 1.0 / (m - 1)))
     try:
         alpha_corrected_sq, alpha_simple_sq = alpha_corrected(alpha_bar_sq, n)
     except InvalidInput:
@@ -247,6 +179,4 @@ def correlation_report(
         alpha_simple_sq=alpha_simple_sq,
         m_tilde=m_tilde,
         estimator="eigen",
-        mean_row_corr=mean_row_corr,
-        mean_shift_flag=mean_shift_flag,
     )

@@ -88,6 +88,17 @@ def bh_fdr(pvalues, q: float) -> np.ndarray:
     return np.flatnonzero(p <= candidates[passing[-1]])
 
 
+def _unrank_pairs(n: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i < j) of ``n`` items at ranks ``k`` of the row-major ``triu`` order.
+
+    Exact integer arithmetic: row i holds ranks starts[i] .. starts[i] + n - i - 2.
+    """
+    r = np.arange(n - 1)
+    starts = r * (2 * n - r - 1) // 2
+    i = np.searchsorted(starts, k, side="right") - 1
+    return i, k - starts[i] + i + 1
+
+
 @dataclass(frozen=True)
 class OutlierReport:
     """All pairwise column correlations with p-values and BH discoveries.

@@ -21,8 +21,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .correlation import _unrank_pairs
-from .fdr import OutlierReport
+from .fdr import OutlierReport, _unrank_pairs
 
 #: pair records rendered and written at a time: about 1 MB of text, whose
 #: strings and Python numbers are freed before the next chunk is made

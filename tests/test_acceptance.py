@@ -272,7 +272,7 @@ def test_13_audit_determinism(tmp_path):
     """Same input, seed and config produce byte-identical reports (no timings)."""
     rng = np.random.default_rng(213)
     x = DataMatrix(rng.standard_normal((150, 12)))
-    cfg = AuditConfig(seed=31, L=200, eigen_reps=30, pair_sample=2000,
+    cfg = AuditConfig(seed=31, L=200, eigen_reps=30,
                       sim_m=300, calib_reps=2)
     first = audit(x, cfg, groups=["g1"] * 6 + ["g2"] * 6)
     second = audit(x, cfg, groups=["g1"] * 6 + ["g2"] * 6)

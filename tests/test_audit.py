@@ -21,7 +21,7 @@ from colindep import (
 
 def desk_config(**overrides) -> AuditConfig:
     base = dict(
-        seed=0, L=300, eigen_reps=40, pair_sample=3000,
+        seed=0, L=300, eigen_reps=40,
         sim_m=400, calib_reps=2,
     )
     base.update(overrides)
@@ -68,7 +68,7 @@ class TestAudit:
         ({"q": float("nan")}, "q must lie in (0, 1)"),
         ({"min_block": 1}, "min_block must be at least 2"),
         ({"min_block": 4, "max_block": 3}, "min_block must not exceed max_block"),
-        ({"pair_sample": 0}, "pair_sample must be positive"),
+        ({"tol": float("nan")}, "tol must be positive"),
         ({"tol": 0.0}, "tol must be positive"),
         ({"tol": -1.0}, "tol must be positive"),
         ({"max_iter": 0}, "max_iter must be at least 1"),
@@ -217,8 +217,7 @@ class TestEmit:
             correlation=CorrelationReport(
                 m=10, n=4, rank=3, c2=0.4, mu_hat=-1 / 3, alpha_hat_sq=0.1,
                 alpha_bar_sq=0.1, alpha_corrected_sq=None, alpha_simple_sq=None,
-                m_tilde=5.0, estimator="eigen", mean_row_corr=0.0,
-                mean_shift_flag=False,
+                m_tilde=5.0, estimator="eigen",
             ),
             tests=[], outliers=None, config=AuditConfig(),
         )

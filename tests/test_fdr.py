@@ -19,7 +19,7 @@ from colindep import (
     double_standardize,
     scan_column_pairs,
 )
-from colindep.correlation import _unrank_pairs
+from colindep.fdr import _unrank_pairs
 
 
 def quadrature_pvalue(r: float, nu: float) -> float:
