@@ -41,13 +41,13 @@ from .matrix import (
 )
 from .normal import (
     SimulationSpec,
+    _null_draws,
     bilinear_test,
     calibrate_gamma,
     eigenratio,
-    eigenratio_null,
     two_sample_w,
 )
-from .permutation import TestResult, mc_pvalue, perm_pvalue
+from .permutation import TestResult, exceeds, mc_pvalue, perm_pvalue
 
 _PERM_STATS = ("block", "trend", "trace")
 
@@ -209,14 +209,30 @@ def eigenratio_stage(
 
     The blocks null simulates the block model with effect size
     ``gamma``; when it is None, gamma is calibrated so the simulated
-    alpha matches the data's alpha_hat.
+    alpha matches the data's alpha_hat.  Null draws stop at the h-th
+    that reaches the observed eigenratio, h = ceil(L/20) with
+    L = ``eigen_reps`` (Besag & Clifford, 1991).  The ell draws taken
+    are the first ell of ``eigenratio_null`` at the stage seed, and
+    ``mc_pvalue`` over them gives the entry: p = h/ell with L = ell when
+    the stop fires, else the fixed-L result.  Either way p < 0.05
+    exactly when fewer than h of the L fixed draws reach the observed
+    value, and then nothing stops, so p below 0.05 is the fixed-L one.
     """
     cfg, z = ctx.config, ctx.z
     stage = f"eigenratio_{null}"
     seed = stage_seed(cfg.seed, stage)
+    s_obs = eigenratio(ctx.spectrum)
+    h = -(-cfg.eigen_reps // 20)
+    hits = 0
+
+    def stop(draw: tuple[float, float, float]) -> bool:
+        nonlocal hits
+        hits += bool(exceeds(draw[0], s_obs))
+        return hits == h
+
     if null == "wishart":
         extra = {"df": ctx.corr.m_tilde}
-        nulls = eigenratio_null("wishart", cfg.eigen_reps, z.n, seed, df=ctx.corr.m_tilde)
+        draws = _null_draws("wishart", cfg.eigen_reps, z.n, seed, df=ctx.corr.m_tilde, stop=stop)
     elif null == "blocks":
         sim_m = min(z.m, cfg.sim_m)
         if gamma is None:
@@ -227,10 +243,10 @@ def eigenratio_stage(
         spec = SimulationSpec(
             m=sim_m, n=z.n, sigma_model="block", num_blocks=cfg.sim_blocks, gamma=gamma
         )
-        nulls = eigenratio_null("correlated_rows", cfg.eigen_reps, z.n, seed, spec=spec)
+        draws = _null_draws("correlated_rows", cfg.eigen_reps, z.n, seed, spec=spec, stop=stop)
     else:
         raise InvalidInput("eigenratio null must be 'wishart' or 'blocks'")
-    s_obs = eigenratio(ctx.spectrum)
+    nulls = draws[:, 0].copy()
     p, exceed = mc_pvalue(nulls, s_obs)
     res = TestResult(statistic=s_obs, null_samples=nulls, p_value=p, method=stage, seed=seed,
                      exceed_count=exceed)

@@ -269,12 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eigenratio, eigen_reps=100)
     _add_common(p)
     p.add_argument("--null", choices=["wishart", "blocks"], default="wishart")
-    _setting(p, "--reps", "eigen_reps", "null replicates", type=int)
+    _setting(p, "--reps", "eigen_reps",
+             "most null replicates: draws stop at the ceil(REPS/20)-th that reaches the statistic", type=int)
     p.add_argument("--gamma", type=float, default=None,
                    help="block effect size for --null blocks (default: calibrated as in audit)")
     _setting(p, "--blocks", "sim_blocks", "row blocks of the blocks null", type=int)
     _setting(p, "--sim-m", "sim_m", "rows per draw of the blocks null", type=int)
-    p.add_argument("--null-out", default=None)
+    p.add_argument("--null-out", default=None, help="dump the L null draws taken to this CSV")
 
     p = sub.add_parser("bilinear", help="two-group bilinear statistic")
     _add_common(p)
@@ -311,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="run the full battery and emit a report")
     _add_common(p)
     _setting(p, "--L", "L", "number of permutations per permutation test", type=int)
-    _setting(p, "--reps", "eigen_reps", "eigenratio null replicates", type=int)
+    _setting(p, "--reps", "eigen_reps",
+             "most eigenratio null replicates, stopping at the ceil(REPS/20)-th that reaches the statistic",
+             type=int)
     _setting(p, "--q", "q", "FDR level of the scan", type=float)
     _setting(p, "--min-block", "min_block", "shortest block run", type=int)
     _setting(p, "--max-block", "max_block", "longest block run", type=int)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -222,39 +223,71 @@ def map_replicates(
     fn: Callable[[np.random.Generator], object],
     reps: int,
     seed: int,
+    stop: Callable[[object], bool] | None = None,
 ) -> list:
     """``[fn(rng_0), ..., fn(rng_{reps-1})]``, replicate r drawing from substream (seed, r).
 
-    Replicates run on a pool of one thread per CPU in the affinity mask,
-    never more than ``reps``; with one worker the same calls run as a
-    plain loop.  Threads overlap because the replicates' numpy and BLAS
-    calls release the interpreter lock.  Each running replicate holds
-    its own arrays, so peak memory grows with the worker count.  ``fn``
-    must not mutate shared state; then each result, landing at its
-    index, does not depend on the worker count.
+    ``stop``, when given, is called on each result in index order, on
+    the calling thread; the list then ends at the first result for
+    which it is true, and the replicates after it are not run or are
+    discarded.  Replicates run on a pool of one thread per CPU in the
+    affinity mask, never more than ``reps``; with a ``stop``, no more
+    than one per worker is started ahead of the first result not yet
+    read, so a stop discards at most ``workers - 1`` draws.  With one
+    worker the same calls run as a plain loop.  Threads overlap because
+    the replicates' numpy and BLAS calls release the interpreter lock.
+    Each running replicate holds its own arrays, so peak memory grows
+    with the worker count.  ``fn`` must not mutate shared state; then
+    each result, landing at its index, and the prefix ``stop`` selects
+    do not depend on the worker count.
     """
 
     def call(rep: int) -> object:
         return fn(_null_rng(seed, rep))
 
+    results: list = []
     workers = min(reps, _affinity_cpus())
     if workers <= 1:
-        return [call(rep) for rep in range(reps)]
+        for rep in range(reps):
+            results.append(call(rep))
+            if stop is not None and stop(results[-1]):
+                break
+        return results
     pool = ThreadPoolExecutor(workers)
     try:
-        return list(pool.map(call, range(reps)))
+        # without a stop every replicate is queued at once; with one, no more
+        # than one per worker runs ahead of the next result read
+        window = reps if stop is None else workers
+        pending = deque(pool.submit(call, rep) for rep in range(window))
+        for rep in range(window, reps + window):
+            results.append(pending.popleft().result())
+            if stop is not None and stop(results[-1]):
+                break
+            if rep < reps:
+                pending.append(pool.submit(call, rep))
+        return results
     finally:
         pool.shutdown(cancel_futures=True)
 
 
 def _null_draws(
-    model: str, reps: int, n: int, seed: int, df: float | None = None, spec: SimulationSpec | None = None
+    model: str,
+    reps: int,
+    n: int,
+    seed: int,
+    df: float | None = None,
+    spec: SimulationSpec | None = None,
+    stop: Callable[[tuple[float, float, float]], bool] | None = None,
 ) -> np.ndarray:
     """(reps, 3): each replicate's eigenratio, c2 and trace of its n-by-n null covariance.
 
     The covariance is W/df from a Bartlett factor's singular values for
     ``"wishart"``, or Z'Z/m of a doubly standardized draw from ``spec``
     (up to 200 sweeps) for ``"correlated_rows"``; see ``eigenratio_null``.
+    ``stop`` goes to ``map_replicates`` and sees each replicate's
+    (eigenratio, c2, trace) in index order: the array then ends at the
+    first replicate it accepts, and its rows are the first rows of the
+    fixed-``reps`` array, bit for bit.
     """
     if reps < 1:
         raise InvalidInput("reps must be positive")
@@ -283,7 +316,7 @@ def _null_draws(
 
     else:
         raise InvalidInput("model must be 'wishart' or 'correlated_rows'")
-    return np.array(map_replicates(replicate, reps, seed), dtype=float)
+    return np.array(map_replicates(replicate, reps, seed, stop), dtype=float)
 
 
 def eigenratio_null(

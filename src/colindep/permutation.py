@@ -10,6 +10,7 @@ against scores of randomly permuted orderings.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -44,7 +45,11 @@ class BlockBasis:
 
 @dataclass(frozen=True)
 class TestResult:
-    """A statistic, its simulated null sample and the resulting p-value."""
+    """A statistic, its simulated null sample and the resulting p-value.
+
+    ``L`` is the number of null samples taken, and ``mc_se`` the Monte
+    Carlo standard error of a sampled p-value.
+    """
 
     statistic: float
     null_samples: np.ndarray
@@ -57,6 +62,13 @@ class TestResult:
     def L(self) -> int:
         return int(self.null_samples.size)
 
+    @property
+    def mc_se(self) -> float:
+        """sqrt(p(1-p)/L) for a sampled p-value; 0 for an exhaustive one, which is exact."""
+        if self.method.endswith("_exhaustive"):
+            return 0.0
+        return math.sqrt(self.p_value * (1.0 - self.p_value) / self.L)
+
     def to_dict(self) -> dict:
         return {
             "method": self.method,
@@ -64,6 +76,7 @@ class TestResult:
             "p_value": self.p_value,
             "L": self.L,
             "exceed_count": self.exceed_count,
+            "mc_se": self.mc_se,
             "seed": self.seed,
         }
 
@@ -183,18 +196,25 @@ def _trace_rows(d: np.ndarray, perms: np.ndarray, band: tuple) -> np.ndarray:
     return d.ravel().take(flat) @ weights
 
 
-def mc_pvalue(nulls: np.ndarray, s_obs: float, conservative: bool = False) -> tuple[float, int]:
-    """Monte Carlo tail p-value of ``s_obs`` against simulated null draws.
+def exceeds(nulls: np.ndarray | float, s_obs: float) -> np.ndarray:
+    """Whether each null draw counts as reaching ``s_obs``: ``nulls >= s_obs - 1e-12 max(1, |s_obs|)``.
 
-    Returns ``(p, exceed_count)``: the fraction of draws at least as
-    large as ``s_obs``, or (count+1)/(L+1) when ``conservative``.  Ties
-    count as exceedances; the epsilon keeps exact mathematical ties
+    Ties count as exceedances; the epsilon keeps exact mathematical ties
     counted when reordered float sums differ in the last ulp, e.g.
     permutations of a constant eigenvector.
     """
+    return np.asarray(nulls, dtype=float) >= s_obs - 1e-12 * max(1.0, abs(s_obs))
+
+
+def mc_pvalue(nulls: np.ndarray, s_obs: float, conservative: bool = False) -> tuple[float, int]:
+    """Monte Carlo tail p-value of ``s_obs`` against simulated null draws.
+
+    Returns ``(p, exceed_count)``: the fraction of draws that ``exceeds``
+    counts as at least as large as ``s_obs``, or (count+1)/(L+1) when
+    ``conservative``.
+    """
     nulls = np.asarray(nulls, dtype=float)
-    tie_eps = 1e-12 * max(1.0, abs(s_obs))
-    exceed = int(np.sum(nulls >= s_obs - tie_eps))
+    exceed = int(np.sum(exceeds(nulls, s_obs)))
     if conservative:
         return (exceed + 1) / (nulls.size + 1), exceed
     return exceed / nulls.size, exceed

@@ -1,10 +1,13 @@
 import importlib
 import json
+import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import colindep.normal as normal
 from colindep import (
     AuditConfig,
     DataMatrix,
@@ -12,11 +15,14 @@ from colindep import (
     SimulationSpec,
     audit,
     block_total_correlation,
+    eigenratio_null,
     emit,
+    mc_pvalue,
     sample_matrix_normal,
     stage_seed,
     two_sample_w,
 )
+from colindep.audit import eigenratio_stage, prepare
 
 
 def desk_config(**overrides) -> AuditConfig:
@@ -247,3 +253,87 @@ class TestEmit:
         report = audit(x, desk_config(seed=1))
         with pytest.raises(InvalidInput):
             emit(report, format="yaml")
+
+
+def _spiked_input(seed: int, m: int = 120, n: int = 10, lam: float = 4.0) -> DataMatrix:
+    # a column spike orthogonal to the constant, which row centering would remove:
+    # at this size the eigenratio p-values straddle 0.05 from seed to seed
+    beta = np.resize([1.0, -1.0], n) / np.sqrt(n)
+    return sample_matrix_normal(
+        SimulationSpec(m=m, n=n, delta_model="spiked", spike_lambda=lam, spike_beta=beta, seed=seed)
+    )
+
+
+def _fixed_null(ctx, null: str, entry: dict) -> np.ndarray:
+    """The stage's null at a fixed L = eigen_reps, drawn by ``eigenratio_null``."""
+    cfg, n = ctx.config, ctx.z.n
+    if null == "wishart":
+        return eigenratio_null("wishart", cfg.eigen_reps, n, entry["seed"], df=entry["df"])
+    spec = SimulationSpec(m=entry["sim_m"], n=n, sigma_model="block", num_blocks=cfg.sim_blocks,
+                          gamma=entry["gamma"])
+    return eigenratio_null("correlated_rows", cfg.eigen_reps, n, entry["seed"], spec=spec)
+
+
+def _hits(fixed: np.ndarray, s_obs: float) -> np.ndarray:
+    # indices of the fixed draws that reach the statistic, ties within 1e-12 relative
+    return np.flatnonzero(fixed >= s_obs - 1e-12 * max(1.0, abs(s_obs)))
+
+
+class TestSequentialEigenratio:
+    """The stage stops at the ceil(L/20)-th draw that reaches the statistic."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("reps", [200, 60, 45, 30])
+    @pytest.mark.parametrize("null", ["wishart", "blocks"])
+    def test_draws_are_the_fixed_prefix(self, null, reps, seed):
+        ctx = prepare(_spiked_input(seed), AuditConfig(seed=seed, eigen_reps=reps, sim_m=120, calib_reps=2))
+        entry, nulls = eigenratio_stage(ctx, null)
+        fixed = _fixed_null(ctx, null, entry)
+        h = math.ceil(Fraction(reps, 20))
+        hits = _hits(fixed, entry["statistic"])
+        ell = int(hits[h - 1]) + 1 if hits.size >= h else reps
+        assert nulls.tobytes() == fixed[:ell].tobytes()
+        assert entry["L"] == ell
+        assert entry["exceed_count"] == min(h, hits.size)
+        assert entry["p_value"] == entry["exceed_count"] / ell
+        assert entry["mc_se"] == math.sqrt(entry["p_value"] * (1 - entry["p_value"]) / ell)
+
+    def test_no_stop_gives_the_fixed_result(self):
+        # the Wishart null rejects this block-row input: 2 of 200 draws reach it, fewer than h = 10
+        x = sample_matrix_normal(SimulationSpec(m=600, n=30, sigma_model="block", num_blocks=5, gamma=1.0,
+                                                seed=1))
+        ctx = prepare(x, AuditConfig(seed=1, eigen_reps=200))
+        entry, nulls = eigenratio_stage(ctx, "wishart")
+        fixed = _fixed_null(ctx, "wishart", entry)
+        p, exceed = mc_pvalue(fixed, entry["statistic"])
+        assert nulls.tobytes() == fixed.tobytes()
+        assert (entry["p_value"], entry["exceed_count"], entry["L"]) == (p, exceed, 200)
+        assert p < 0.05
+
+    @pytest.mark.parametrize("null", ["wishart", "blocks"])
+    def test_verdicts_at_005_are_the_fixed_ones(self, null):
+        below = above = 0
+        for seed in range(12):
+            ctx = prepare(_spiked_input(seed), AuditConfig(seed=seed, eigen_reps=60, sim_m=120, calib_reps=2))
+            entry, _ = eigenratio_stage(ctx, null)
+            fixed_p, _ = mc_pvalue(_fixed_null(ctx, null, entry), entry["statistic"])
+            assert (entry["p_value"] < 0.05) == (fixed_p < 0.05), seed
+            if fixed_p < 0.05:
+                assert entry["p_value"] == fixed_p
+                below += 1
+            else:
+                above += 1
+        assert below and above
+
+    @pytest.mark.parametrize("null", ["wishart", "blocks"])
+    def test_independent_of_workers(self, monkeypatch, null):
+        x = _spiked_input(5)
+        stages = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(normal, "_affinity_cpus", lambda: cpus)
+            ctx = prepare(x, AuditConfig(seed=5, eigen_reps=60, sim_m=120, calib_reps=2))
+            stages.append(eigenratio_stage(ctx, null))
+        (one, one_nulls), (two, two_nulls) = stages
+        assert one == two
+        assert one_nulls.tobytes() == two_nulls.tobytes()
+        assert one["L"] < 60  # the stop fired

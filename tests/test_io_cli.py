@@ -381,7 +381,13 @@ class TestCli:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["method"] == "eigenratio_wishart"
-        assert payload["L"] == 40
+        # L counts the draws taken: the 40 fixed draws up to the ceil(40/20) = 2nd
+        # that reaches the statistic, or all 40 when fewer do
+        fixed = eigenratio_null("wishart", 40, 10, payload["seed"], df=payload["df"])
+        s_obs = payload["statistic"]
+        hits = np.flatnonzero(fixed >= s_obs - 1e-12 * max(1.0, abs(s_obs)))
+        assert payload["L"] == (hits[1] + 1 if hits.size >= 2 else 40)
+        assert payload["p_value"] == payload["exceed_count"] / payload["L"]
 
     def test_bilinear_requires_groups(self, matrix_file):
         assert main(["bilinear", matrix_file]) == 1

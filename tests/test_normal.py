@@ -294,6 +294,40 @@ class TestMapReplicates:
         assert len(map_replicates(lambda rng: 0, reps, seed=0)) == reps
         assert sizes == ([] if pool is None else [pool])
 
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_stop_returns_the_prefix_and_discards_at_most_workers_minus_one(self, monkeypatch, workers):
+        lock = threading.Lock()
+        calls = 0
+
+        def draw(rng):
+            return float(rng.standard_normal((30, 4)).sum())
+
+        def replicate(rng):
+            nonlocal calls
+            with lock:
+                calls += 1
+            return draw(rng)
+
+        values = [draw(_substream(7, r)) for r in range(60)]
+        # the stop fires at the third value above 5, in index order
+        ell = [r for r, v in enumerate(values) if v > 5.0][2] + 1
+        assert ell + workers - 1 < 60
+        seen = []
+
+        def stop(value):
+            seen.append(value)
+            return sum(v > 5.0 for v in seen) == 3
+
+        _on_cpus(monkeypatch, workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = map_replicates(replicate, 60, seed=7, stop=stop)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == seen == values[:ell]
+        assert ell <= calls <= ell + workers - 1
+
     def test_first_failure_in_index_order_is_raised(self, monkeypatch):
         def replicate(rng):
             value = rng.random()

@@ -340,6 +340,16 @@ class TestPermPvalue:
         assert cons.p_value == (res.exceed_count + 1) / 138
         assert cons.p_value > res.p_value
 
+    def test_mc_se_of_sampled_and_exhaustive_p(self):
+        rng = np.random.default_rng(77)
+        x = demean(DataMatrix(rng.standard_normal((18, 6))))
+        entry = perm_pvalue(x, "trend", L=90, seed=4).to_dict()
+        p = entry["exceed_count"] / 90
+        assert 0.0 < p < 1.0
+        assert entry["mc_se"] == np.sqrt(p * (1.0 - p) / 90)
+        # the exhaustive p-value is exact
+        assert perm_pvalue(x, "trend", L=1, seed=0, exhaustive=True).to_dict()["mc_se"] == 0.0
+
     def test_detects_planted_block_structure(self):
         # first eigenvector with a contiguous run of large components
         rng = np.random.default_rng(76)
