@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -231,43 +230,33 @@ def map_replicates(
     the calling thread; the list then ends at the first result for
     which it is true, and the replicates after it are not run or are
     discarded.  Replicates run on a pool of one thread per CPU in the
-    affinity mask, never more than ``reps``; with a ``stop``, no more
-    than one per worker is started ahead of the first result not yet
-    read, so a stop discards at most ``workers - 1`` draws.  With one
-    worker the same calls run as a plain loop.  Threads overlap because
-    the replicates' numpy and BLAS calls release the interpreter lock.
-    Each running replicate holds its own arrays, so peak memory grows
-    with the worker count.  ``fn`` must not mutate shared state; then
-    each result, landing at its index, and the prefix ``stop`` selects
-    do not depend on the worker count.
+    affinity mask, never more than ``reps``, which keeps every worker
+    busy: a worker may run ahead of a slow replicate whose result is
+    still to be read, and a stop cancels only the replicates not yet
+    started.  With one worker the same calls run as a plain loop, and a
+    stop discards nothing.  Threads overlap because the replicates'
+    numpy and BLAS calls release the interpreter lock.  Each running
+    replicate holds its own arrays, so peak memory grows with the worker
+    count.  ``fn`` must not mutate shared state; then each result,
+    landing at its index, and the prefix ``stop`` selects do not depend
+    on the worker count.
     """
 
     def call(rep: int) -> object:
         return fn(_null_rng(seed, rep))
 
-    results: list = []
     workers = min(reps, _affinity_cpus())
-    if workers <= 1:
-        for rep in range(reps):
-            results.append(call(rep))
-            if stop is not None and stop(results[-1]):
-                break
-        return results
-    pool = ThreadPoolExecutor(workers)
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
     try:
-        # without a stop every replicate is queued at once; with one, no more
-        # than one per worker runs ahead of the next result read
-        window = reps if stop is None else workers
-        pending = deque(pool.submit(call, rep) for rep in range(window))
-        for rep in range(window, reps + window):
-            results.append(pending.popleft().result())
-            if stop is not None and stop(results[-1]):
+        results = []
+        for result in (pool.map if pool else map)(call, range(reps)):
+            results.append(result)
+            if stop is not None and stop(result):
                 break
-            if rep < reps:
-                pending.append(pool.submit(call, rep))
         return results
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool:
+            pool.shutdown(cancel_futures=True)
 
 
 def _null_draws(

@@ -64,7 +64,11 @@ class TestResult:
 
     @property
     def mc_se(self) -> float:
-        """sqrt(p(1-p)/L) for a sampled p-value; 0 for an exhaustive one, which is exact."""
+        """sqrt(p(1-p)/L) for a sampled p-value; 0 for an exhaustive one, which is exact.
+
+        The binomial formula reads 0 at a sampled p of 0 or 1 too, where
+        the p-value is not exact.
+        """
         if self.method.endswith("_exhaustive"):
             return 0.0
         return math.sqrt(self.p_value * (1.0 - self.p_value) / self.L)
