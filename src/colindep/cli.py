@@ -77,6 +77,10 @@ def _arg_type(convert, ok, expected: str):
     return parse
 
 
+#: ``--groups``: comma-separated group sizes, each checked by ``ParseOptions``
+_group_sizes = _arg_type(lambda arg: tuple(map(int, arg.split(","))), bool, "comma-separated integers")
+
+
 def _setting(p: argparse.ArgumentParser, flag: str, field: str, text: str, **kw) -> None:
     """Option ``flag`` for ``AuditConfig.<field>``, unset unless given.
 
@@ -98,24 +102,13 @@ def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
     p.add_argument("--out", default=None, help=out_help)
     if needs_input:
         p.add_argument("input", help="CSV/TSV matrix, rows = features, columns = samples")
-        p.add_argument("--delimiter", default=None, help="field delimiter (default: by extension)")
+        p.add_argument("--delimiter", default=None,
+                       help="one-character field delimiter (default: tab for .tsv and .tab, else comma)")
         p.add_argument("--header", choices=["auto", "yes", "no"], default="auto")
         p.add_argument("--row-ids", choices=["auto", "yes", "no"], default="auto")
         p.add_argument("--format", choices=["json", "text"], default="json")
         _setting(p, "--tol", "tol", "standardization tolerance", type=float)
         _setting(p, "--max-iter", "max_iter", "standardization sweep cap", type=int)
-
-
-def _parse_groups(arg: str | None) -> tuple[int, ...] | None:
-    if arg is None:
-        return None
-    try:
-        sizes = tuple(int(tok) for tok in arg.split(","))
-    except ValueError:
-        raise InvalidInput(f"--groups expects comma-separated integers, got {arg!r}") from None
-    if any(s < 1 for s in sizes):
-        raise InvalidInput("group sizes must be positive")
-    return sizes
 
 
 def _config(args) -> AuditConfig:
@@ -134,7 +127,7 @@ def _load(args) -> tuple[DataMatrix, list[str] | None, AuditConfig]:
         delimiter=args.delimiter,
         header=args.header,
         row_ids=args.row_ids,
-        group_sizes=_parse_groups(getattr(args, "groups", None)),
+        group_sizes=getattr(args, "groups", None),
         groups_file=getattr(args, "groups_file", None),
     )
     cfg = _config(args)
@@ -279,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bilinear", help="two-group bilinear statistic")
     _add_common(p)
-    p.add_argument("--groups", default=None, help="comma-separated group sizes, e.g. 44,19")
-    p.add_argument("--groups-file", default=None, help="file with one group label per column")
+    p.add_argument("--groups", type=_group_sizes, default=None, help="comma-separated group sizes, e.g. 44,19")
+    p.add_argument("--groups-file", default=None, help="file with one group label per column (not with --groups)")
     p.set_defaults(func=_cmd_bilinear)
 
     p = sub.add_parser("fdr-scan", help="FDR scan of pairwise column correlations")
@@ -321,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(p, "--fdr-null", "fdr_null", "null model of the FDR scan", choices=["correlation", "gaussian"])
     p.add_argument("--bilinear", action="store_true", default=argparse.SUPPRESS,
                    help="require the two-group test")
-    p.add_argument("--groups", default=None)
+    p.add_argument("--groups", type=_group_sizes, default=None)
     p.add_argument("--groups-file", default=None)
     p.set_defaults(func=_cmd_audit)
 

@@ -20,10 +20,14 @@ class ParseOptions:
     """How to read a matrix file.
 
     ``header`` and ``row_ids`` accept "auto" (detect from content),
-    "yes" or "no".  ``delimiter`` of None picks tab for .tsv files and
-    comma otherwise.  Group labels for the columns come either from
-    ``group_sizes`` (e.g. (44, 19): first 44 columns are group one) or
-    from ``groups_file``, a text file with one label per column line.
+    "yes" or "no".  ``delimiter`` of None picks tab for .tsv and .tab
+    files and comma otherwise.  Group labels for the columns come either
+    from ``group_sizes`` (e.g. (44, 19): first 44 columns are group one)
+    or from ``groups_file``, a text file with one label per column line.
+    Making the options raises InvalidInput for a ``header`` or ``row_ids``
+    outside those three, a group size below 1, or both group sources;
+    ``ingest`` raises it unless ``delimiter`` is None or one character
+    other than a double quote or a line end.
     """
 
     delimiter: str | None = None
@@ -31,6 +35,26 @@ class ParseOptions:
     row_ids: str = "auto"
     group_sizes: tuple[int, ...] | None = None
     groups_file: str | None = None
+
+    def __post_init__(self):
+        for name in ("header", "row_ids"):
+            if getattr(self, name) not in _CHOICES:
+                raise InvalidInput(f"{name} must be 'auto', 'yes' or 'no'")
+        if self.group_sizes is not None:
+            if any(size < 1 for size in self.group_sizes):
+                raise InvalidInput("group sizes must be positive")
+            if self.groups_file is not None:
+                raise InvalidInput("give group sizes or a groups file, not both")
+
+
+def _delimiter(path: Path, delimiter: str | None) -> str:
+    # the delimiter rule of ingest and write_matrix: tab for .tsv and .tab by default,
+    # else comma; a given one must be one character other than '"' and a line end
+    if delimiter is None:
+        return "\t" if path.suffix.lower() in (".tsv", ".tab") else ","
+    if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in '"\r\n':
+        raise InvalidInput(f"delimiter must be one character, not a quote or a line end, got {delimiter!r}")
+    return delimiter
 
 
 def _is_missing(token: str) -> bool:
@@ -67,10 +91,7 @@ def _read_group_labels(path: str, n: int) -> list[str]:
 def _labels_from_sizes(sizes: tuple[int, ...], n: int) -> list[str]:
     if sum(sizes) != n:
         raise InvalidInput(f"group sizes {sizes} do not sum to the {n} columns")
-    labels = []
-    for g, size in enumerate(sizes, start=1):
-        labels.extend([f"group{g}"] * size)
-    return labels
+    return [f"group{g}" for g, size in enumerate(sizes, start=1) for _ in range(size)]
 
 
 def ingest(path: str, options: ParseOptions | None = None) -> tuple[DataMatrix, list[str] | None]:
@@ -88,17 +109,14 @@ def ingest(path: str, options: ParseOptions | None = None) -> tuple[DataMatrix, 
     """
     opts = options or ParseOptions()
     p = Path(path)
+    delim = _delimiter(p, opts.delimiter)
     if not p.exists():
         raise ParseError(f"no such file: {path}")
-    delim = opts.delimiter
-    if delim is None:
-        delim = "\t" if p.suffix.lower() in (".tsv", ".tab") else ","
     values = _load_body(p, delim, opts)
     if values is None:
         values = _parse_rows(p, delim, opts)
 
-    # the parsed array is this call's own: adopted after the checks of
-    # DataMatrix, without its defensive copy
+    # the parsed array is this call's own, so it is adopted without a copy
     matrix = DataMatrix._adopt_checked(values, "raw")
     labels: list[str] | None = None
     if opts.groups_file is not None:
@@ -112,8 +130,7 @@ def _layout(first: list[str], ids_below: bool, opts: ParseOptions) -> tuple[bool
     """Whether the file has a header row and a row-ID column.
 
     ``first`` is the first row; ``ids_below`` says a label sits in the
-    first column below it.  An option other than "auto" or "yes" reads
-    as "no"; the callers validate them.
+    first column below it.
     """
     if opts.header == "auto":
         # a missing corner cell above row IDs marks a header too
@@ -145,8 +162,6 @@ def _load_body(p: Path, delim: str, opts: ParseOptions) -> np.ndarray | None:
     column goes through a converter rather than ``usecols``, because
     ``usecols`` turns off numpy's check that every row has one width.
     """
-    if opts.header not in _CHOICES or opts.row_ids not in _CHOICES:
-        return None
     with open(p, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delim)
         rows = filter(None, reader)
@@ -183,16 +198,12 @@ def _parse_rows(p: Path, delim: str, opts: ParseOptions) -> np.ndarray:
         if len(row) != width:
             raise ParseError(f"ragged table: {len(row)} cells, expected {width}", row=k + 1)
 
-    if opts.header not in _CHOICES:
-        raise InvalidInput("header must be 'auto', 'yes' or 'no'")
     ids_below = opts.row_ids == "auto" and any(_is_label(row[0]) for row in rows[1:])
     has_header, has_ids = _layout(rows[0], ids_below, opts)
     body = rows[1:] if has_header else rows
     first_data_row = 2 if has_header else 1
     if not body:
         raise ParseError("no data rows")
-    if opts.row_ids not in _CHOICES:
-        raise InvalidInput("row_ids must be 'auto', 'yes' or 'no'")
     first_data_col = 2 if has_ids else 1
 
     # numpy parses each token as Python's float does; a row that fails or
@@ -222,9 +233,7 @@ def write_matrix(
 ) -> None:
     """Write a matrix as delimited text; inverse of ingest (repr round-trip)."""
     p = Path(path)
-    delim = delimiter
-    if delim is None:
-        delim = "\t" if p.suffix.lower() in (".tsv", ".tab") else ","
+    delim = _delimiter(p, delimiter)
     with open(p, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter=delim)
         if header is not None:

@@ -50,20 +50,14 @@ class DataMatrix:
         object.__setattr__(self, "values", a)
 
     @classmethod
-    def _adopt(cls, a: np.ndarray, state: str) -> DataMatrix:
-        # wrap a finite float array that nothing writes to again, without
-        # the defensive copy and checks of __init__
+    def _adopt_checked(cls, a: np.ndarray, state: str) -> DataMatrix:
+        # wrap a float array that nothing else holds, checked as by __init__ but not copied
+        _check_values(a)
         a.setflags(write=False)
         x = cls.__new__(cls)
         object.__setattr__(x, "values", a)
         object.__setattr__(x, "state", state)
         return x
-
-    @classmethod
-    def _adopt_checked(cls, a: np.ndarray, state: str) -> DataMatrix:
-        # _adopt after the checks of __init__, for a float array nothing else holds
-        _check_values(a)
-        return cls._adopt(a, state)
 
     def _scratch(self) -> DataMatrix:
         # mark a matrix that nothing else holds as scratch: its values turn
@@ -247,12 +241,12 @@ def _standardize_axis(
 
 def standardize_columns(x: DataMatrix) -> DataMatrix:
     """Give every column mean 0 and (population) variance 1."""
-    return DataMatrix._adopt(_standardize_axis(x.values.copy(), axis=0), "col_std")
+    return DataMatrix._adopt_checked(_standardize_axis(x.values.copy(), axis=0), "col_std")
 
 
 def standardize_rows(x: DataMatrix) -> DataMatrix:
     """Give every row mean 0 and (population) variance 1."""
-    return DataMatrix._adopt(_standardize_axis(x.values.copy(), axis=1), "row_std")
+    return DataMatrix._adopt_checked(_standardize_axis(x.values.copy(), axis=1), "row_std")
 
 
 def double_standardize(
@@ -297,7 +291,7 @@ def double_standardize(
     if dev < tol:
         dev = max(dev, _axis_deviation(a, 1))
         if dev < tol:
-            return DataMatrix._adopt(a, "double_std"), StandardizeInfo(0, dev)
+            return DataMatrix._adopt_checked(a, "double_std"), StandardizeInfo(0, dev)
     if not a.flags.writeable:
         a = a.copy()
     deviations = []
@@ -311,11 +305,16 @@ def double_standardize(
         deviations.append(dev)
         if dev < tol:
             info = StandardizeInfo(it, dev, deviations=tuple(deviations))
-            return DataMatrix._adopt(a, "double_std"), info
+            return DataMatrix._adopt_checked(a, "double_std"), info
     raise NonConvergence(
         f"double standardization did not reach tol={tol:.3g} in {max_iter} sweeps "
         f"(deviation {dev:.3g})"
     )
+
+
+def _smaller_gram(a: np.ndarray) -> np.ndarray:
+    """A'A when n <= m, else AA': the smaller Gram matrix, with the nonzero eigenvalues of A'A."""
+    return a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T
 
 
 def spectral(x: DataMatrix) -> SpectralSummary:
@@ -333,15 +332,14 @@ def spectral(x: DataMatrix) -> SpectralSummary:
     package reads, are set by the large ones.
     """
     a = x.values
-    tall = a.shape[1] <= a.shape[0]
     try:
-        e, vecs = np.linalg.eigh(a.T @ a if tall else a @ a.T)
+        e, vecs = np.linalg.eigh(_smaller_gram(a))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition of the Gram matrix failed: {exc}") from exc
     e, vecs = e[::-1], vecs[:, ::-1]
     k = int(np.sum(e > RANK_TOL * e[0])) if e[0] > 0.0 else 0
     e, vecs = e[:k].copy(), vecs[:, :k]
-    if tall:
+    if vecs.shape[0] == x.n:  # the vectors of X'X are the right vectors
         right = vecs.copy()
     else:
         right = a.T @ vecs

@@ -19,7 +19,7 @@ import numpy as np
 
 from .correlation import offdiag_moments
 from .errors import CalibrationFailure, InvalidInput
-from .matrix import DataMatrix, SpectralSummary, _standardize_axis, double_standardize
+from .matrix import DataMatrix, SpectralSummary, _smaller_gram, _standardize_axis, double_standardize
 from .permutation import _null_rng
 
 _SIGMA_MODELS = ("identity", "block")
@@ -128,8 +128,6 @@ def sample_matrix_normal(spec: SimulationSpec, rng: np.random.Generator | None =
         # explicit gamma scaling keeps draws continuous in gamma under
         # common random numbers, which the calibrator relies on
         effects = spec.gamma * rng.standard_normal((spec.num_blocks, spec.n))
-        if not np.all(np.isfinite(effects)):
-            raise InvalidInput("matrix entries must be finite")
         # each block's effect row is added in place to the rows that
         # block_labels gives it: equal slices, the remainder in the last
         size = spec.m // spec.num_blocks
@@ -138,9 +136,7 @@ def sample_matrix_normal(spec: SimulationSpec, rng: np.random.Generator | None =
             y[b * size : stop] += row
     if spec.delta_model == "spiked":
         y = y @ _spiked_root(spec.spike_lambda, spec.spike_beta)
-        if not np.all(np.isfinite(y)):
-            raise InvalidInput("matrix entries must be finite")
-    return DataMatrix._adopt(y, "raw")
+    return DataMatrix._adopt_checked(y, "raw")
 
 
 def _bartlett_factor(df: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -272,7 +268,8 @@ def _null_draws(
 
     The covariance is W/df from a Bartlett factor's singular values for
     ``"wishart"``, or Z'Z/m of a doubly standardized draw from ``spec``
-    (up to 200 sweeps) for ``"correlated_rows"``; see ``eigenratio_null``.
+    (up to 200 sweeps) for ``"correlated_rows"``, read from ZZ'/m, the
+    smaller Gram matrix, when m < n; see ``eigenratio_null``.
     ``stop`` goes to ``map_replicates`` and sees each replicate's
     (eigenratio, c2, trace) in index order: the array then ends at the
     first replicate it accepts, and its rows are the first rows of the
@@ -299,7 +296,7 @@ def _null_draws(
         def replicate(rng: np.random.Generator) -> tuple[float, float, float]:
             # the draw is this replicate's own, so it is standardized in place
             z, _ = double_standardize(sample_matrix_normal(spec, rng)._scratch(), max_iter=200)
-            vals = _psd_eigenvalues(z.values.T @ z.values / z.m)
+            vals = _psd_eigenvalues(_smaller_gram(z.values) / z.m)
             total = vals.sum()
             return vals[-1] / total, np.sum(vals * vals) / (n * n), total
 
@@ -347,7 +344,7 @@ def _measured_alpha_sq(gamma: float, m: int, n: int, num_blocks: int, seed: int,
         a = sample_matrix_normal(spec, rng)._scratch().values
         _standardize_axis(a, axis=0)
         _standardize_axis(a, axis=1)
-        gram = a.T @ a if n <= m else a @ a.T
+        gram = _smaller_gram(a)
         gram /= max(m, n)
         return offdiag_moments(float(np.mean(gram * gram)), n)[1]
 

@@ -856,3 +856,114 @@ def spectral_calls(monkeypatch):
 def test_one_svd_per_call(matrix_file, tmp_path, spectral_calls, argv, svds):
     assert main([argv[0], matrix_file, *argv[1:], "--out", str(tmp_path / "res.json")]) == 0
     assert spectral_calls == [(80, 10)] * svds
+
+
+class TestInputRules:
+    """Each input rule has one owner: the options check themselves when made, ``ingest`` and
+    ``write_matrix`` share one delimiter rule, and the CLI reports either as a usage error."""
+
+    @pytest.mark.parametrize("options, message", [
+        ({"header": "maybe"}, "header must be 'auto', 'yes' or 'no'"),
+        ({"row_ids": "true"}, "row_ids must be 'auto', 'yes' or 'no'"),
+        ({"group_sizes": (4, 0)}, "group sizes must be positive"),
+        ({"group_sizes": (-2, 10)}, "group sizes must be positive"),
+        ({"group_sizes": (4, 4), "groups_file": "g.txt"}, "give group sizes or a groups file, not both"),
+    ])
+    def test_invalid_options_raise_when_made(self, options, message):
+        with pytest.raises(InvalidInput) as err:
+            ParseOptions(**options)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text", ["", "1,2,3\n4,5\n", "a,b\n"])
+    @pytest.mark.parametrize("option", ["header", "row_ids"])
+    def test_bad_option_before_any_parse(self, tmp_path, text, option):
+        # the file alone raises ParseError: empty, ragged, no data rows
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            ingest(str(path), ParseOptions(header="yes"))
+        with pytest.raises(InvalidInput, match=f"{option} must be"):
+            ingest(str(path), ParseOptions(**{option: "maybe"}))
+
+    @pytest.mark.parametrize("delimiter", ['"', "ab", "\\t", "\n", "\r", ""])
+    def test_ingest_rejects_a_bad_delimiter(self, tmp_path, delimiter):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,4\n")
+        with pytest.raises(InvalidInput) as err:
+            ingest(str(path), ParseOptions(delimiter=delimiter))
+        assert str(err.value) == f"delimiter must be one character, not a quote or a line end, got {delimiter!r}"
+
+    def test_write_matrix_rejects_a_bad_delimiter(self, tmp_path):
+        path = tmp_path / "m.csv"
+        with pytest.raises(InvalidInput, match="delimiter must be one character"):
+            write_matrix(str(path), DataMatrix(np.eye(2)), delimiter="ab")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("suffix, delimiter", [(".tsv", "\t"), (".TAB", "\t"), (".txt", ","), (".csv", ",")])
+    def test_default_delimiter_by_extension(self, tmp_path, suffix, delimiter):
+        x = DataMatrix(np.arange(6.0).reshape(3, 2) + 0.5)
+        path = tmp_path / f"m{suffix}"
+        write_matrix(str(path), x)
+        assert path.read_text().splitlines()[0] == delimiter.join(["0.5", "1.5"])
+        got, _ = ingest(str(path))
+        assert np.array_equal(got.values, x.values)
+
+    def test_one_character_delimiter_round_trip(self, tmp_path):
+        x = DataMatrix(np.arange(6.0).reshape(3, 2) - 2.25)
+        path = tmp_path / "m.csv"
+        write_matrix(str(path), x, delimiter="|")
+        got, _ = ingest(str(path), ParseOptions(delimiter="|"))
+        assert np.array_equal(got.values, x.values)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--delimiter", "\\t"], "error: delimiter must be one character"),
+        (["--delimiter", "ab"], "error: delimiter must be one character"),
+        (["--delimiter", '"'], "error: delimiter must be one character"),
+        (["--groups", "5,5", "--groups-file", "GROUPS"], "error: give group sizes or a groups file, not both"),
+        (["--groups", "0,10"], "error: group sizes must be positive"),
+        (["--groups=-2,12"], "error: group sizes must be positive"),
+        (["--groups", "5;5"], "error: argument --groups: expected comma-separated integers, got '5;5'"),
+    ])
+    @pytest.mark.parametrize("sub", ["bilinear", "audit"])
+    def test_usage_errors_exit_1(self, matrix_file, tmp_path, capsys, sub, argv, message):
+        groups = tmp_path / "groups.txt"
+        groups.write_text("a\nb\n" * 5)
+        argv = [str(groups) if arg == "GROUPS" else arg for arg in argv]
+        out = tmp_path / "res.json"
+        assert main([sub, matrix_file, *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "usage.csv", "--delimiter", "\\t"],
+        ["bilinear", "usage.csv", "--groups", "4,4", "--groups-file", "g.txt"],
+    ])
+    def test_usage_errors_in_a_fresh_process(self, tmp_path, argv):
+        np.savetxt(tmp_path / "usage.csv", np.random.default_rng(0).standard_normal((40, 8)), delimiter=",")
+        (tmp_path / "g.txt").write_text("a\n" * 4 + "b\n" * 4)
+        run = subprocess.run([sys.executable, "-m", "colindep.cli", *argv], cwd=tmp_path, env=_SRC_ENV,
+                             capture_output=True, text=True)
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+
+
+class TestSimulateReadsTheSmallerGram:
+    """At m < n each replicate's eigenvalues come from ZZ'/m, the nonzero ones of Z'Z/m."""
+
+    @pytest.mark.parametrize("m, n, reps, seed", [(40, 150, 6, 5), (150, 600, 2, 9)])
+    def test_blocks_csv_is_the_n_by_n_formula(self, tmp_path, m, n, reps, seed):
+        from colindep.normal import _psd_eigenvalues
+
+        out = tmp_path / "draws.csv"
+        argv = ["simulate", "--model", "blocks", "--m", str(m), "--n", str(n), "--gamma", "0.9",
+                "--reps", str(reps), "--seed", str(seed)]
+        assert main([*argv, "--out", str(out)]) == 0
+        draws = _read_draws(out)
+        assert draws.shape == (reps, 3)
+        spec = SimulationSpec(m=m, n=n, sigma_model="block", num_blocks=5, gamma=0.9)
+        for rep, row in enumerate(draws):
+            z, _ = double_standardize(sample_matrix_normal(spec, _substream(seed, rep)), max_iter=200)
+            vals = _psd_eigenvalues(z.values.T @ z.values / m)
+            want = [vals[-1] / vals.sum(), np.sum(vals * vals) / (n * n), vals.sum()]
+            assert row == pytest.approx(want, rel=1e-12, abs=0)

@@ -567,3 +567,37 @@ class TestBilinearTest:
         x = DataMatrix(np.random.default_rng(101).standard_normal((10, 4)))
         with pytest.raises(InvalidInput):
             bilinear_test(x, np.ones(5), m_tilde=5.0)
+
+
+class TestNullReadsTheSmallerGram:
+    """The correlated-rows null takes its eigenvalues from the smaller Gram matrix.
+
+    At n <= m that is Z'Z/m bit for bit (see ``TestResultsIndependentOfWorkers``); at m < n
+    it is ZZ'/m, whose nonzero eigenvalues are those of Z'Z/m.
+    """
+
+    @pytest.mark.parametrize("m, n, reps, seed", [(40, 150, 6, 3), (150, 600, 2, 8)])
+    def test_wide_draws_match_the_n_by_n_formula(self, m, n, reps, seed):
+        spec = SimulationSpec(m=m, n=n, sigma_model="block", num_blocks=5, gamma=1.1)
+        draws = normal._null_draws("correlated_rows", reps, n, seed, spec=spec)
+        assert np.array_equal(eigenratio_null("correlated_rows", reps, n, seed, spec=spec), draws[:, 0])
+        for rep, row in enumerate(draws):
+            z, _ = double_standardize(sample_matrix_normal(spec, _substream(seed, rep)), max_iter=200)
+            vals = _psd_eigenvalues(z.values.T @ z.values / z.m)
+            want = [vals[-1] / vals.sum(), np.sum(vals * vals) / (n * n), vals.sum()]
+            assert row == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_square_draw_reads_z_prime_z(self):
+        spec = SimulationSpec(m=30, n=30, sigma_model="block", num_blocks=3, gamma=0.8)
+        got = normal._null_draws("correlated_rows", 3, 30, 2, spec=spec)
+        for rep, row in enumerate(got):
+            z, _ = double_standardize(sample_matrix_normal(spec, _substream(2, rep)), max_iter=200)
+            vals = _psd_eigenvalues(z.values.T @ z.values / z.m)
+            assert row.tolist() == [vals[-1] / vals.sum(), np.sum(vals * vals) / 900, vals.sum()]
+
+    @pytest.mark.parametrize("m, n, side", [(40, 150, 40), (150, 40, 40), (30, 30, 30)])
+    def test_decomposes_the_smaller_side(self, monkeypatch, m, n, side):
+        shapes = []
+        monkeypatch.setattr(normal, "_psd_eigenvalues", lambda g: shapes.append(g.shape) or _psd_eigenvalues(g))
+        normal._null_draws("correlated_rows", 2, n, 1, spec=SimulationSpec(m=m, n=n))
+        assert shapes == [(side, side)] * 2
