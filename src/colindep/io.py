@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +26,8 @@ class ParseOptions:
     from ``group_sizes`` (e.g. (44, 19): first 44 columns are group one)
     or from ``groups_file``, a text file with one label per column line.
     Making the options raises InvalidInput for a ``header`` or ``row_ids``
-    outside those three, a group size below 1, or both group sources;
+    outside those three, a group size that is not an integer of at
+    least 1, or both group sources;
     ``ingest`` raises it unless ``delimiter`` is None or one character
     other than a double quote or a line end.
     """
@@ -41,8 +43,13 @@ class ParseOptions:
             if getattr(self, name) not in _CHOICES:
                 raise InvalidInput(f"{name} must be 'auto', 'yes' or 'no'")
         if self.group_sizes is not None:
-            if any(size < 1 for size in self.group_sizes):
+            try:
+                sizes = tuple(operator.index(size) for size in self.group_sizes)
+            except TypeError:
+                raise InvalidInput(f"group sizes must be integers, got {self.group_sizes!r}") from None
+            if any(size < 1 for size in sizes):
                 raise InvalidInput("group sizes must be positive")
+            object.__setattr__(self, "group_sizes", sizes)
             if self.groups_file is not None:
                 raise InvalidInput("give group sizes or a groups file, not both")
 
@@ -231,9 +238,18 @@ def write_matrix(
     row_ids: list[str] | None = None,
     delimiter: str | None = None,
 ) -> None:
-    """Write a matrix as delimited text; inverse of ingest (repr round-trip)."""
+    """Write a matrix as delimited text; inverse of ingest (repr round-trip).
+
+    Raises InvalidInput, before the file is opened, for a ``header``
+    that does not name the n columns or ``row_ids`` that do not name the
+    m rows.
+    """
     p = Path(path)
     delim = _delimiter(p, delimiter)
+    if header is not None and len(header) != x.n:
+        raise InvalidInput(f"header has {len(header)} names for {x.n} columns")
+    if row_ids is not None and len(row_ids) != x.m:
+        raise InvalidInput(f"row_ids has {len(row_ids)} names for {x.m} rows")
     with open(p, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter=delim)
         if header is not None:

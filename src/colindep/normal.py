@@ -9,6 +9,8 @@ equal-sized groups) and a spiked Delta = I + lambda * beta beta'.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +22,7 @@ import numpy as np
 from .correlation import offdiag_moments
 from .errors import CalibrationFailure, InvalidInput
 from .matrix import DataMatrix, SpectralSummary, _smaller_gram, _standardize_axis, double_standardize
-from .permutation import _null_rng
+from .permutation import _null_rng, _seed_words, _substreams
 
 _SIGMA_MODELS = ("identity", "block")
 _DELTA_MODELS = ("identity", "spiked")
@@ -29,6 +31,11 @@ _DELTA_MODELS = ("identity", "spiked")
 CALIB_TOL = 0.005
 GAMMA_FIRST = 5.0
 GAMMA_MAX = 80.0
+#: Bartlett-factor cells per batch of the Wishart null, and the most
+#: factors in a batch: memory stays linear, and a stop discards at most
+#: one batch's draws
+_WISHART_CELLS = 1 << 18
+_WISHART_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -139,6 +146,17 @@ def sample_matrix_normal(spec: SimulationSpec, rng: np.random.Generator | None =
     return DataMatrix._adopt_checked(y, "raw")
 
 
+@functools.lru_cache(maxsize=4)
+def _bartlett_slots(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into an n-by-k array of its diagonal and, row by row, of its entries below it."""
+    rows, cols = np.tril_indices(n, -1, k)
+    below = rows * k + cols
+    diag = np.arange(k) * (k + 1)
+    diag.setflags(write=False)
+    below.setflags(write=False)
+    return diag, below
+
+
 def _bartlett_factor(df: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Lower-trapezoid T with T T' ~ Wishart(df, I_n).
 
@@ -150,13 +168,11 @@ def _bartlett_factor(df: float, n: int, rng: np.random.Generator) -> np.ndarray:
     it at fractional df.
     """
     k = min(n, int(math.ceil(df)))
-    t = np.zeros((n, k))
-    dof = df - np.arange(k)
-    t[np.arange(k), np.arange(k)] = np.sqrt(rng.chisquare(dof))
-    rows, cols = np.tril_indices(n, -1)
-    keep = cols < k
-    t[rows[keep], cols[keep]] = rng.standard_normal(int(keep.sum()))
-    return t
+    diag, below = _bartlett_slots(n, k)
+    t = np.zeros(n * k)
+    t[diag] = np.sqrt(rng.chisquare(df - np.arange(k)))
+    t[below] = rng.standard_normal(below.size)
+    return t.reshape(n, k)
 
 
 def sample_wishart(
@@ -181,6 +197,7 @@ def sample_wishart(
         chol = np.linalg.cholesky(d)
     except np.linalg.LinAlgError as exc:
         raise InvalidInput("delta must be positive definite") from exc
+    _seed_words(seed)  # InvalidInput for a seed SeedSequence would refuse
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     reps = 1 if size is None else int(size)
     out = np.empty((reps, n, n))
@@ -230,13 +247,18 @@ def map_replicates(
     busy: a worker may run ahead of a slow replicate whose result is
     still to be read, and a stop cancels only the replicates not yet
     started.  With one worker the same calls run as a plain loop, and a
-    stop discards nothing.  Threads overlap because the replicates'
-    numpy and BLAS calls release the interpreter lock.  Each running
+    stop discards nothing.  Threads overlap only as far as the
+    replicates' numpy and BLAS calls release the interpreter lock, so
+    the pool pays for replicates of large array work: the correlated
+    rows null and ``calibrate_gamma``'s measurements, its callers.  The
+    Wishart null's small factorizations gain more from one stacked call
+    on the calling thread (see ``_null_draws``).  Each running
     replicate holds its own arrays, so peak memory grows with the worker
     count.  ``fn`` must not mutate shared state; then each result,
     landing at its index, and the prefix ``stop`` selects do not depend
     on the worker count.
     """
+    _seed_words(seed)  # InvalidInput for a seed SeedSequence would refuse
 
     def call(rep: int) -> object:
         return fn(_null_rng(seed, rep))
@@ -270,39 +292,64 @@ def _null_draws(
     ``"wishart"``, or Z'Z/m of a doubly standardized draw from ``spec``
     (up to 200 sweeps) for ``"correlated_rows"``, read from ZZ'/m, the
     smaller Gram matrix, when m < n; see ``eigenratio_null``.
-    ``stop`` goes to ``map_replicates`` and sees each replicate's
-    (eigenratio, c2, trace) in index order: the array then ends at the
-    first replicate it accepts, and its rows are the first rows of the
-    fixed-``reps`` array, bit for bit.
+    Replicate r draws from substream (seed, r).  The correlated rows
+    replicates run through ``map_replicates``; the Wishart ones in
+    batches on the calling thread, each batch's factors through one
+    stacked SVD.  ``stop`` sees each replicate's (eigenratio, c2, trace)
+    in index order: the array then ends at the first replicate it
+    accepts, and its rows are the first rows of the fixed-``reps``
+    array, bit for bit.
     """
     if reps < 1:
         raise InvalidInput("reps must be positive")
     if model == "wishart":
         if df is None or df <= 0:
             raise InvalidInput("wishart model requires df > 0")
-
-        def replicate(rng: np.random.Generator) -> tuple[float, float, float]:
-            sv = np.linalg.svd(_bartlett_factor(df, n, rng), compute_uv=False)
-            e = sv * sv
-            total = e.sum()
-            return e[0] / total, np.sum(e * e) / (df * df * n * n), total / df
-
-    elif model == "correlated_rows":
-        if spec is None:
-            raise InvalidInput("correlated_rows model requires a SimulationSpec")
-        if spec.n != n:
-            raise InvalidInput(f"spec.n={spec.n} does not match n={n}")
-
-        def replicate(rng: np.random.Generator) -> tuple[float, float, float]:
-            # the draw is this replicate's own, so it is standardized in place
-            z, _ = double_standardize(sample_matrix_normal(spec, rng)._scratch(), max_iter=200)
-            vals = _psd_eigenvalues(_smaller_gram(z.values) / z.m)
-            total = vals.sum()
-            return vals[-1] / total, np.sum(vals * vals) / (n * n), total
-
-    else:
+        return _wishart_draws(df, n, reps, seed, stop)
+    if model != "correlated_rows":
         raise InvalidInput("model must be 'wishart' or 'correlated_rows'")
+    if spec is None:
+        raise InvalidInput("correlated_rows model requires a SimulationSpec")
+    if spec.n != n:
+        raise InvalidInput(f"spec.n={spec.n} does not match n={n}")
+
+    def replicate(rng: np.random.Generator) -> tuple[float, float, float]:
+        # the draw is this replicate's own, so it is standardized in place
+        z, _ = double_standardize(sample_matrix_normal(spec, rng)._scratch(), max_iter=200)
+        vals = _psd_eigenvalues(_smaller_gram(z.values) / z.m)
+        total = vals.sum()
+        return vals[-1] / total, np.sum(vals * vals) / (n * n), total
+
     return np.array(map_replicates(replicate, reps, seed, stop), dtype=float)
+
+
+def _wishart_draws(
+    df: float, n: int, reps: int, seed: int, stop: Callable[[tuple[float, float, float]], bool] | None
+) -> np.ndarray:
+    """The Wishart rows of ``_null_draws``, in batches of Bartlett factors.
+
+    A batch holds up to _WISHART_BATCH factors and about _WISHART_CELLS
+    cells.  A stacked SVD factors each matrix as a lone call would, so
+    every row is the per-replicate one bit for bit.
+    """
+    k = min(n, int(math.ceil(df)))
+    batch = max(1, min(_WISHART_BATCH, _WISHART_CELLS // (n * k)))
+    rngs = _substreams(seed, reps)
+    out = np.empty((reps, 3))
+    for start in range(0, reps, batch):
+        factors = np.stack([_bartlett_factor(df, n, rng) for rng in itertools.islice(rngs, batch)])
+        sv = np.linalg.svd(factors, compute_uv=False)
+        e = sv * sv
+        total = e.sum(axis=1)
+        rows = out[start : start + len(factors)]
+        rows[:, 0] = e[:, 0] / total
+        rows[:, 1] = np.sum(e * e, axis=1) / (df * df * n * n)
+        rows[:, 2] = total / df
+        if stop is not None:
+            for r, row in enumerate(rows, start):
+                if stop(tuple(row)):
+                    return out[: r + 1]
+    return out
 
 
 def eigenratio_null(

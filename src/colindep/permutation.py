@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,17 @@ _STATISTICS = ("block", "trend", "trace")
 #: scored per chunk of permutations: 128 KiB arrays, as fast as 512 KiB
 #: ones, and small enough not to fragment the heap between larger arrays
 _PERM_CELLS = 1 << 14
+#: numpy.random.SeedSequence's hash constants (bit_generator.pyx): its
+#: hashmix multiplier and start for the pool, the same for the output
+#: words, and the left and right multipliers of its mix
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+_MASK32 = 0xFFFFFFFF
+#: PCG64's 128-bit LCG multiplier (pcg64.h, PCG_DEFAULT_MULTIPLIER_128)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -230,6 +243,84 @@ def _null_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, replicate)))
 
 
+def _seed_words(seed: int) -> list[int]:
+    """The 32-bit words of a nonnegative integer seed, low word first, as SeedSequence reads it.
+
+    Raises InvalidInput for a seed that is not an integer or is negative.
+    """
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise InvalidInput(f"seed must be an integer, got {seed!r}") from None
+    if value < 0:
+        raise InvalidInput(f"seed must be nonnegative, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _substream_states(seed: int, reps: int) -> np.ndarray:
+    """(reps, 4) uint64: ``SeedSequence((seed, r)).generate_state(4, np.uint64)`` for each r < reps.
+
+    SeedSequence's mixing, run once over a uint32 array of all r instead
+    of once per r: the seed's words and r (one word, reps <= 2**32)
+    fill a pool of four words, hashmix and mix stir it, and the output
+    words hash the pool again, with the second pair of constants.  Each
+    hashmix call advances the hash constant whatever the value, so the
+    constants are plain integers.
+    """
+    entropy = [np.array([w], dtype=np.uint32) for w in _seed_words(seed)]
+    entropy.append(np.arange(reps, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray, mult: int = _MULT_A) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out = np.empty((reps, 8), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(8):
+        out[:, i] = hashmix(pool[i % _POOL_WORDS], _MULT_B)
+    # pairs of words, low word first, as generate_state reads them
+    return out.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _substreams(seed: int, reps: int) -> Iterator[np.random.Generator]:
+    """Yield one Generator in the state of ``_null_rng(seed, r)`` for r = 0, ..., reps-1.
+
+    The Generator is the same object each time, reseeded in place: a
+    draw must be taken before the next one is asked for.  PCG64 seeds
+    from words (s, i) as pcg64_srandom does: inc = 2i + 1, then one LCG
+    step from 0, add s, and one more step.
+    """
+    states = _substream_states(seed, reps)
+    rng = np.random.Generator(np.random.PCG64(0))
+    bitgen = rng.bit_generator
+    for s_hi, s_lo, i_hi, i_lo in states.tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
 def perm_pvalue(
     x: DataMatrix,
     statistic: str,
@@ -253,7 +344,9 @@ def perm_pvalue(
     ``exhaustive=True`` replaces sampling with all n! permutations
     (allowed only for n <= 8) and returns the exact tail fraction.
     ``spectrum`` is a precomputed ``spectral(x)``, reused for the first
-    eigenvector instead of a fresh eigendecomposition.
+    eigenvector instead of a fresh eigendecomposition.  Permutation r is
+    drawn from substream (seed, r), whose seeds are derived for all r in
+    one pass (``_substreams``).
     """
     if statistic not in _STATISTICS:
         raise InvalidInput(f"statistic must be one of {_STATISTICS}")
@@ -282,7 +375,7 @@ def perm_pvalue(
 
     s_obs = float(stats(np.arange(n)[None])[0])
     perms = (itertools.permutations(range(n)) if exhaustive
-             else (_null_rng(seed, rep).permutation(n) for rep in range(L)))
+             else (rng.permutation(n) for rng in _substreams(seed, L)))
     # about _PERM_CELLS cells of statistic input per chunk of permutations
     step = max(1, _PERM_CELLS // width)
     chunks = iter(lambda: list(itertools.islice(perms, step)), [])

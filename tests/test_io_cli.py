@@ -868,6 +868,8 @@ class TestInputRules:
         ({"group_sizes": (4, 0)}, "group sizes must be positive"),
         ({"group_sizes": (-2, 10)}, "group sizes must be positive"),
         ({"group_sizes": (4, 4), "groups_file": "g.txt"}, "give group sizes or a groups file, not both"),
+        ({"group_sizes": (2.5, 1.5)}, "group sizes must be integers, got (2.5, 1.5)"),
+        ({"group_sizes": (2, "2")}, "group sizes must be integers, got (2, '2')"),
     ])
     def test_invalid_options_raise_when_made(self, options, message):
         with pytest.raises(InvalidInput) as err:
@@ -897,6 +899,27 @@ class TestInputRules:
         path = tmp_path / "m.csv"
         with pytest.raises(InvalidInput, match="delimiter must be one character"):
             write_matrix(str(path), DataMatrix(np.eye(2)), delimiter="ab")
+        assert not path.exists()
+
+    def test_integer_group_sizes_of_any_type(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2,3,4\n5,6,7,8\n")
+        options = ParseOptions(group_sizes=[np.int64(3), 1])
+        assert options.group_sizes == (3, 1)
+        _, labels = ingest(str(path), options)
+        assert labels == ["group1", "group1", "group1", "group2"]
+
+    @pytest.mark.parametrize("names, message", [
+        ({"row_ids": ["a"]}, "row_ids has 1 names for 2 rows"),
+        ({"row_ids": ["a", "b", "c"]}, "row_ids has 3 names for 2 rows"),
+        ({"header": ["s0", "s1"]}, "header has 2 names for 3 columns"),
+        ({"header": ["s0", "s1", "s2", "s3"], "row_ids": ["a", "b"]}, "header has 4 names for 3 columns"),
+    ])
+    def test_write_matrix_checks_names_before_opening(self, tmp_path, names, message):
+        path = tmp_path / "m.csv"
+        with pytest.raises(InvalidInput) as err:
+            write_matrix(str(path), DataMatrix(np.arange(6.0).reshape(2, 3)), **names)
+        assert str(err.value) == message
         assert not path.exists()
 
     @pytest.mark.parametrize("suffix, delimiter", [(".tsv", "\t"), (".TAB", "\t"), (".txt", ","), (".csv", ",")])

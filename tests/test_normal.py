@@ -186,6 +186,15 @@ class TestSampleWishart:
         with pytest.raises(InvalidInput):
             sample_wishart(10.0, bad, seed=0)
 
+    @pytest.mark.parametrize("seed, message", [
+        (-3, "seed must be nonnegative, got -3"),
+        (0.5, "seed must be an integer, got 0.5"),
+    ])
+    def test_bad_seed_rejected(self, seed, message):
+        with pytest.raises(InvalidInput) as err:
+            sample_wishart(12.0, np.eye(3), seed=seed)
+        assert str(err.value) == message
+
     def test_determinism(self):
         a = sample_wishart(12.0, np.eye(3), seed=90)
         b = sample_wishart(12.0, np.eye(3), seed=90)
@@ -234,6 +243,19 @@ class TestEigenratioNull:
         vals = eigenratio_null("correlated_rows", reps=20, n=10, seed=95, spec=spec)
         assert vals.shape == (20,)
         assert np.all((vals > 0.1) & (vals <= 1.0))
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be nonnegative, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+    ])
+    def test_bad_seed_rejected(self, seed, message):
+        spec = SimulationSpec(m=40, n=4)
+        for model, kwargs in (("wishart", {"df": 6.0}), ("correlated_rows", {"spec": spec})):
+            with pytest.raises(InvalidInput) as err:
+                eigenratio_null(model, reps=5, n=4, seed=seed, **kwargs)
+            assert str(err.value) == message
+        with pytest.raises(InvalidInput, match=message):
+            calibrate_gamma(0.3, m=40, n=4, num_blocks=2, reps=2, seed=seed)
 
     def test_validation(self):
         with pytest.raises(InvalidInput):
@@ -347,6 +369,88 @@ class TestMapReplicates:
             with pytest.raises(ValueError) as err:
                 map_replicates(replicate, 20, seed=1)
             assert err.value.args[0] == _substream(1, first).random()
+
+
+def _wishart_row(df, n, rng):
+    # one replicate of the Wishart null, as a lone factor and SVD give it
+    sv = np.linalg.svd(_bartlett_factor(df, n, rng), compute_uv=False)
+    e = sv * sv
+    total = e.sum()
+    return [e[0] / total, np.sum(e * e) / (df * df * n * n), total / df]
+
+
+class TestBatchedWishartNull:
+    """The batched Wishart null against the per-replicate form, its oracle."""
+
+    def test_bartlett_slots_are_the_lower_trapezoid(self):
+        # the construction before the slots were cached: all of tril(n, -1), then the first k columns
+        for df, n in [(3.5, 6), (6.0, 6), (40.0, 6), (1.0, 2)]:
+            k = min(n, int(np.ceil(df)))
+            rng = _substream(8, 0)
+            t = np.zeros((n, k))
+            t[np.arange(k), np.arange(k)] = np.sqrt(rng.chisquare(df - np.arange(k)))
+            rows, cols = np.tril_indices(n, -1)
+            keep = cols < k
+            t[rows[keep], cols[keep]] = rng.standard_normal(int(keep.sum()))
+            assert np.array_equal(_bartlett_factor(df, n, _substream(8, 0)), t)
+
+    @pytest.mark.parametrize("df, n, reps", [
+        (16.01, 63, 40),  # df < n - 1, fractional: the cardio shape
+        (5.5, 12, 37),
+        (8.0, 30, 33),
+        (40.5, 20, 35),  # df > n
+        (70.0, 20, 17),
+        (140.5, 150, 5),  # more than 128 singular values: pairwise sums split
+    ])
+    @pytest.mark.parametrize("batch", [None, 1, 4])
+    def test_rows_match_per_replicate_form(self, monkeypatch, df, n, reps, batch):
+        if batch is not None:
+            monkeypatch.setattr(normal, "_WISHART_BATCH", batch)
+        expected = np.array([_wishart_row(df, n, _substream(11, r)) for r in range(reps)])
+        got = normal._null_draws("wishart", reps, n, seed=11, df=df)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_cell_budget_sizes_the_batch(self, monkeypatch):
+        sizes = []
+        svd = np.linalg.svd
+
+        def recording(a, **kwargs):
+            sizes.append(a.shape[0])
+            return svd(a, **kwargs)
+
+        monkeypatch.setattr(normal, "_WISHART_CELLS", 3 * 30 * 9)
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        got = normal._null_draws("wishart", 10, 30, seed=2, df=8.5)
+        assert sizes == [3, 3, 3, 1]
+        expected = np.array([_wishart_row(8.5, 30, _substream(2, r)) for r in range(10)])
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("ell", [6, 8, 1, 20])  # inside a batch, on its end, the first, the last
+    def test_stop_inside_a_batch_and_on_its_end(self, monkeypatch, ell):
+        monkeypatch.setattr(normal, "_WISHART_BATCH", 4)
+        factors = 0
+        bartlett = normal._bartlett_factor
+
+        def counting(df, n, rng):
+            nonlocal factors
+            factors += 1
+            return bartlett(df, n, rng)
+
+        seen = []
+
+        def stop(draw):
+            seen.append(draw)
+            return len(seen) == ell
+
+        monkeypatch.setattr(normal, "_bartlett_factor", counting)
+        got = normal._null_draws("wishart", 20, 15, seed=5, df=9.3, stop=stop)
+        expected = np.array([_wishart_row(9.3, 15, _substream(5, r)) for r in range(20)])
+        assert got.tobytes() == expected[:ell].tobytes()
+        assert np.array(seen).tobytes() == expected[:ell].tobytes()
+        assert all(type(draw) is tuple and len(draw) == 3 for draw in seen)
+        # a stop discards no more than the rest of its batch
+        assert factors == -(-ell // 4) * 4
 
 
 class TestResultsIndependentOfWorkers:

@@ -449,6 +449,61 @@ class TestChunkedNullsMatchPerPermutationLoop:
         self._check(res, *self._oracle(x, statistic, perms, max_len=n))
 
 
+# the seed's last value of one, two, three and four 32-bit words and the
+# first of the next: the pool of four words fills, then overflows into
+# SeedSequence's extra-entropy loop
+BOUNDARY_SEEDS = [0, 1, 5, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, 2**64, 2**96 - 1, 2**96, 2**128 + 3]
+
+
+class TestSubstreamsMatchSeedSequence:
+    """``_substream_states`` and ``_substreams`` against SeedSequence and ``_null_rng``, their oracles."""
+
+    @pytest.mark.parametrize("seed", BOUNDARY_SEEDS)
+    @pytest.mark.parametrize("reps", [1, 2, 2000])
+    def test_state_words(self, seed, reps):
+        got = permutation._substream_states(seed, reps)
+        expected = [np.random.SeedSequence((seed, r)).generate_state(4, np.uint64) for r in range(reps)]
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, np.array(expected))
+
+    @pytest.mark.parametrize("seed", BOUNDARY_SEEDS)
+    def test_generator_state(self, seed):
+        for r, rng in enumerate(permutation._substreams(seed, 5)):
+            oracle = permutation._null_rng(seed, r)
+            assert rng.bit_generator.state == oracle.bit_generator.state
+            # 64-bit, 32-bit and bounded draws continue the same stream
+            assert rng.standard_normal(3).tolist() == oracle.standard_normal(3).tolist()
+            assert rng.integers(0, 7, 5, dtype=np.uint32).tolist() == oracle.integers(0, 7, 5, dtype=np.uint32).tolist()
+            assert rng.chisquare(2.5) == oracle.chisquare(2.5)
+
+    @pytest.mark.parametrize("n", [2, 8, 63, 1000])
+    @pytest.mark.parametrize("reps", [1, 2, 2000])
+    def test_permutations(self, n, reps):
+        seed = 2**32
+        got = np.array([rng.permutation(n) for rng in permutation._substreams(seed, reps)])
+        expected = np.array([permutation._null_rng(seed, r).permutation(n) for r in range(reps)])
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be nonnegative, got -1"),
+        (2.0, "seed must be an integer, got 2.0"),
+        ("3", "seed must be an integer, got '3'"),
+        (None, "seed must be an integer, got None"),
+    ])
+    def test_perm_pvalue_rejects_a_bad_seed(self, seed, message):
+        x = DataMatrix(np.random.default_rng(81).standard_normal((20, 6)))
+        for statistic in ("block", "trace"):
+            with pytest.raises(InvalidInput) as err:
+                perm_pvalue(x, statistic, L=10, seed=seed)
+            assert str(err.value) == message
+
+    def test_integer_seeds_of_any_type(self):
+        x = DataMatrix(np.random.default_rng(82).standard_normal((20, 6)))
+        expected = perm_pvalue(x, "trend", L=50, seed=9).null_samples
+        for seed in (np.int64(9), np.uint8(9)):
+            assert np.array_equal(perm_pvalue(x, "trend", L=50, seed=seed).null_samples, expected)
+
+
 class TestMcPvalue:
     def test_last_ulp_tie_counts_as_exceedance(self):
         s_obs = 0.7
