@@ -47,13 +47,12 @@ from .normal import (
     eigenratio,
     two_sample_w,
 )
-from .permutation import TestResult, exceeds, mc_pvalue, perm_pvalue
-
-_PERM_STATS = ("block", "trend", "trace")
+from .permutation import _STATISTICS, TestResult, _seed_words, exceeds, mc_pvalue, perm_pvalue
 
 
 def stage_seed(seed: int, stage: str) -> int:
     """Derive the integer seed for a named stage from the master seed."""
+    _seed_words(seed)  # InvalidInput for a seed SeedSequence would refuse
     ss = np.random.SeedSequence((seed, zlib.crc32(stage.encode("utf-8"))))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -79,8 +78,8 @@ class AuditConfig:
 
     def __post_init__(self):
         # bounds of the settings alone; failures that depend on the data stay stage errors
+        _seed_words(self.seed)
         for ok, message in (
-            (self.seed >= 0, "seed must be nonnegative"),
             (self.L >= 1, "L must be positive"),
             (self.eigen_reps >= 1, "eigen_reps must be positive"),
             (0.0 < self.q < 1.0, "q must lie in (0, 1)"),
@@ -327,7 +326,7 @@ def audit(x: DataMatrix, config: AuditConfig | None = None, groups: list[str] | 
     with stage("correlation", recoverable=False):
         corr = ctx.corr
 
-    for stat in _PERM_STATS:
+    for stat in _STATISTICS:
         name = f"perm_{stat}"
         with stage(name), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -49,6 +49,7 @@ from .io import ParseOptions, ingest, write_matrix
 from .jsonout import write_json
 from .matrix import DataMatrix
 from .normal import SimulationSpec, _null_draws
+from .permutation import _STATISTICS
 
 _USAGE_ERRORS = (InvalidInput, ParseError)
 _NUMERICAL_ERRORS = (NonConvergence, NumericalError, CalibrationFailure, np.linalg.LinAlgError)
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("permtest", help="permutation test of column-wise i.i.d.")
     p.set_defaults(func=_cmd_permtest, L=5000)
     _add_common(p)
-    p.add_argument("--stat", choices=["block", "trend", "trace"], required=True)
+    p.add_argument("--stat", choices=_STATISTICS, required=True)
     _setting(p, "--L", "L", "number of permutations", type=int)
     _setting(p, "--min-block", "min_block", "shortest block run", type=int)
     _setting(p, "--max-block", "max_block", "longest block run", type=int)

@@ -22,7 +22,7 @@ import numpy as np
 from .correlation import offdiag_moments
 from .errors import CalibrationFailure, InvalidInput
 from .matrix import DataMatrix, SpectralSummary, _smaller_gram, _standardize_axis, double_standardize
-from .permutation import _null_rng, _seed_words, _substreams
+from .permutation import _from_words, _seed_words, _substream_states, _substreams
 
 _SIGMA_MODELS = ("identity", "block")
 _DELTA_MODELS = ("identity", "spiked")
@@ -63,6 +63,7 @@ class SimulationSpec:
     def __post_init__(self):
         if self.m < 2 or self.n < 2:
             raise InvalidInput("m and n must be at least 2")
+        _seed_words(self.seed)  # InvalidInput for a seed SeedSequence would refuse
         if self.sigma_model not in _SIGMA_MODELS:
             raise InvalidInput(f"sigma_model must be one of {_SIGMA_MODELS}")
         if self.delta_model not in _DELTA_MODELS:
@@ -237,37 +238,33 @@ def map_replicates(
     seed: int,
     stop: Callable[[object], bool] | None = None,
 ) -> list:
-    """``[fn(rng_0), ..., fn(rng_{reps-1})]``, replicate r drawing from substream (seed, r).
+    """``[fn(rng_0), ..., fn(rng_{reps-1})]``, rng_r built by numpy from row r of ``_substream_states``.
 
-    ``stop``, when given, is called on each result in index order, on
-    the calling thread; the list then ends at the first result for
-    which it is true, and the replicates after it are not run or are
-    discarded.  Replicates run on a pool of one thread per CPU in the
-    affinity mask, never more than ``reps``, which keeps every worker
-    busy: a worker may run ahead of a slow replicate whose result is
+    So replicate r draws from substream (seed, r), and its words cost 32
+    bytes until the worker that runs it builds its generator.  ``stop``,
+    when given, is called on each result in index order, on the calling
+    thread; the list ends at the first result it accepts, and later
+    replicates are not run or are discarded.  Replicates run on a pool
+    of one thread per CPU in the affinity mask, never more than
+    ``reps``: a worker may run ahead of a slow replicate whose result is
     still to be read, and a stop cancels only the replicates not yet
-    started.  With one worker the same calls run as a plain loop, and a
-    stop discards nothing.  Threads overlap only as far as the
-    replicates' numpy and BLAS calls release the interpreter lock, so
-    the pool pays for replicates of large array work: the correlated
-    rows null and ``calibrate_gamma``'s measurements, its callers.  The
-    Wishart null's small factorizations gain more from one stacked call
-    on the calling thread (see ``_null_draws``).  Each running
-    replicate holds its own arrays, so peak memory grows with the worker
-    count.  ``fn`` must not mutate shared state; then each result,
-    landing at its index, and the prefix ``stop`` selects do not depend
-    on the worker count.
+    started.  With one worker the calls run as a plain loop, and a stop
+    discards nothing.  Threads overlap only as far as numpy and BLAS
+    release the interpreter lock, so the pool pays for large array work:
+    the correlated rows null and ``calibrate_gamma``'s measurements, its
+    callers.  The Wishart null's small factorizations gain more from one
+    stacked call on the calling thread (see ``_null_draws``).  Each
+    running replicate holds its own arrays, so peak memory grows with
+    the worker count.  ``fn`` must not mutate shared state; then each
+    result, landing at its index, and the prefix ``stop`` selects do not
+    depend on the worker count.
     """
-    _seed_words(seed)  # InvalidInput for a seed SeedSequence would refuse
-
-    def call(rep: int) -> object:
-        return fn(_null_rng(seed, rep))
-
+    states, generator = _substream_states(seed, reps), _from_words()
     workers = min(reps, _affinity_cpus())
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
     try:
         results = []
-        for result in (pool.map if pool else map)(call, range(reps)):
+        for result in (pool.map if pool else map)(lambda words: fn(generator(words)), states):
             results.append(result)
             if stop is not None and stop(result):
                 break

@@ -9,11 +9,12 @@ against scores of randomly permuted orderings.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +35,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_WORDS = 4
 _MASK32 = 0xFFFFFFFF
-#: PCG64's 128-bit LCG multiplier (pcg64.h, PCG_DEFAULT_MULTIPLIER_128)
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -238,8 +236,7 @@ def mc_pvalue(nulls: np.ndarray, s_obs: float, conservative: bool = False) -> tu
 
 
 def _null_rng(seed: int, replicate: int) -> np.random.Generator:
-    # substream (seed, replicate) of every permutation and simulated null:
-    # results depend neither on evaluation order nor on the worker count
+    # substream (seed, replicate) hashed by SeedSequence itself: the tests' oracle for _substreams
     return np.random.default_rng(np.random.SeedSequence((seed, replicate)))
 
 
@@ -302,23 +299,25 @@ def _substream_states(seed: int, reps: int) -> np.ndarray:
     return out.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _substreams(seed: int, reps: int) -> Iterator[np.random.Generator]:
-    """Yield one Generator in the state of ``_null_rng(seed, r)`` for r = 0, ..., reps-1.
+@functools.cache
+def _from_words() -> Callable[[np.ndarray], np.random.Generator]:
+    """``words -> Generator(PCG64)``, seeded by numpy from a row of ``_substream_states``."""
+    # numpy.random is imported on first use: `import colindep.cli` leaves it unloaded
+    from numpy.random.bit_generator import ISeedSequence
 
-    The Generator is the same object each time, reseeded in place: a
-    draw must be taken before the next one is asked for.  PCG64 seeds
-    from words (s, i) as pcg64_srandom does: inc = 2i + 1, then one LCG
-    step from 0, add s, and one more step.
-    """
-    states = _substream_states(seed, reps)
-    rng = np.random.Generator(np.random.PCG64(0))
-    bitgen = rng.bit_generator
-    for s_hi, s_lo, i_hi, i_lo in states.tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        yield rng
+    class StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words  # PCG64 asks for generate_state(4, np.uint64)
+
+    return lambda words: np.random.Generator(np.random.PCG64(StateWords(words)))
+
+
+def _substreams(seed: int, reps: int) -> Iterator[np.random.Generator]:
+    """A fresh, independent Generator in the state of ``_null_rng(seed, r)`` for each r < reps, in order."""
+    return map(_from_words(), _substream_states(seed, reps))
 
 
 def perm_pvalue(
@@ -350,6 +349,7 @@ def perm_pvalue(
     """
     if statistic not in _STATISTICS:
         raise InvalidInput(f"statistic must be one of {_STATISTICS}")
+    _seed_words(seed)  # the exhaustive path draws nothing, but reports the seed
     if L < 1 and not exhaustive:
         raise InvalidInput("L must be positive")
     n = x.n

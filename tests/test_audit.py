@@ -83,6 +83,8 @@ class TestAudit:
         ({"sim_blocks": 0}, "sim_blocks must lie in [1, sim_m]"),
         ({"sim_m": 4, "sim_blocks": 5}, "sim_blocks must lie in [1, sim_m]"),
         ({"calib_reps": 0}, "calib_reps must be positive"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": "3"}, "seed must be an integer, got '3'"),
     ])
     def test_invalid_settings_rejected_on_construction(self, setting, message):
         with pytest.raises(InvalidInput) as err:

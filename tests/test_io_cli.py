@@ -558,7 +558,9 @@ class TestCli:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_import_leaves_scipy_unloaded(self):
-        code = "import sys, colindep.cli; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+        # numpy.random too: the substreams import it on first use
+        code = ("import sys, colindep.cli; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules); "
+                "assert not any(m.split('.')[:2] == ['numpy', 'random'] for m in sys.modules)")
         subprocess.run([sys.executable, "-c", code], env=_SRC_ENV, check=True)
 
     def test_only_the_fdr_scan_loads_scipy(self, matrix_file, tmp_path):

@@ -23,6 +23,7 @@ from colindep import (
     sample_matrix_normal,
     sample_wishart,
     spectral,
+    stage_seed,
     two_sample_w,
     within_block_correlation,
 )
@@ -256,6 +257,10 @@ class TestEigenratioNull:
             assert str(err.value) == message
         with pytest.raises(InvalidInput, match=message):
             calibrate_gamma(0.3, m=40, n=4, num_blocks=2, reps=2, seed=seed)
+        for make in (lambda: SimulationSpec(m=40, n=4, seed=seed), lambda: stage_seed(seed, "x")):
+            with pytest.raises(InvalidInput) as err:
+                make()
+            assert str(err.value) == message
 
     def test_validation(self):
         with pytest.raises(InvalidInput):
@@ -276,11 +281,15 @@ def _on_cpus(monkeypatch, cpus):
 
 
 class TestMapReplicates:
-    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-    def test_substreams_land_at_their_index(self, monkeypatch, workers):
+    @pytest.mark.parametrize("workers, seed", [
+        *(pytest.param(w, 5, id=str(w)) for w in (1, 2, 3, 8)),
+        # seeds of two and of three 32-bit words
+        *(pytest.param(w, s, id=f"{w}-{s}") for s in (2**32, 2**64 + 5) for w in (1, 2, 3, 8)),
+    ])
+    def test_substreams_land_at_their_index(self, monkeypatch, workers, seed):
         _on_cpus(monkeypatch, workers)
-        got = map_replicates(lambda rng: rng.random(), 7, seed=5)
-        assert got == [_substream(5, rep).random() for rep in range(7)]
+        got = map_replicates(lambda rng: rng.random(), 7, seed=seed)
+        assert got == [_substream(seed, rep).random() for rep in range(7)]
 
     def test_more_workers_than_cores_under_frequent_switches(self, monkeypatch):
         def replicate(rng):

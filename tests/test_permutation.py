@@ -476,6 +476,17 @@ class TestSubstreamsMatchSeedSequence:
             assert rng.integers(0, 7, 5, dtype=np.uint32).tolist() == oracle.integers(0, 7, 5, dtype=np.uint32).tolist()
             assert rng.chisquare(2.5) == oracle.chisquare(2.5)
 
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 + 3])
+    def test_generators_are_independent(self, seed):
+        # every generator held at once and drawn from in turn, as a caller
+        # that keeps them may: each continues its own substream
+        held = list(permutation._substreams(seed, 6))
+        oracles = [permutation._null_rng(seed, r) for r in range(6)]
+        for _ in range(3):
+            for rng, oracle in zip(held[::-1], oracles[::-1]):
+                assert rng.random() == oracle.random()
+                assert rng.permutation(9).tolist() == oracle.permutation(9).tolist()
+
     @pytest.mark.parametrize("n", [2, 8, 63, 1000])
     @pytest.mark.parametrize("reps", [1, 2, 2000])
     def test_permutations(self, n, reps):
@@ -492,9 +503,9 @@ class TestSubstreamsMatchSeedSequence:
     ])
     def test_perm_pvalue_rejects_a_bad_seed(self, seed, message):
         x = DataMatrix(np.random.default_rng(81).standard_normal((20, 6)))
-        for statistic in ("block", "trace"):
+        for statistic, exhaustive in (("block", False), ("trace", False), ("trend", True)):
             with pytest.raises(InvalidInput) as err:
-                perm_pvalue(x, statistic, L=10, seed=seed)
+                perm_pvalue(x, statistic, L=10, seed=seed, exhaustive=exhaustive)
             assert str(err.value) == message
 
     def test_integer_seeds_of_any_type(self):
