@@ -14,6 +14,7 @@ other stages run, and a subcommand matches the audit entry it shares.
 
 from __future__ import annotations
 
+import operator
 import time
 import warnings
 import zlib
@@ -57,6 +58,10 @@ def stage_seed(seed: int, stage: str) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+#: the AuditConfig fields read through operator.index
+_INTEGER_SETTINGS = ("seed", "L", "eigen_reps", "min_block", "max_block", "max_iter", "sim_m", "sim_blocks", "calib_reps")
+
+
 @dataclass(frozen=True)
 class AuditConfig:
     """Knobs for the audit battery; defaults are desk-scale, and bad values raise InvalidInput."""
@@ -78,6 +83,12 @@ class AuditConfig:
 
     def __post_init__(self):
         # bounds of the settings alone; failures that depend on the data stay stage errors
+        for name in _INTEGER_SETTINGS:
+            value = getattr(self, name)
+            # operator.index takes Python and numpy integers, not 2.5, but True too, as 1
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise InvalidInput(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         _seed_words(self.seed)
         for ok, message in (
             (self.L >= 1, "L must be positive"),

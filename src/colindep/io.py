@@ -1,19 +1,35 @@
-"""Tabular input and output: CSV/TSV matrices, rows = features, columns = samples."""
+"""Tabular input and output: CSV/TSV matrices, rows = features, columns = samples.
+
+A large matrix file is parsed in forked pieces, one per CPU (see ``ingest``).
+"""
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import gc
+import io
+import itertools
+import mmap
 import operator
+import os
+import stat
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
+from ._cpus import _affinity_cpus
 from .errors import InvalidInput, ParseError
 from .matrix import DataMatrix
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "n/a"}
 _CHOICES = ("auto", "yes", "no")
+_BOM = b"\xef\xbb\xbf"
+#: a body is cut into pieces of at least this many bytes, one per CPU at most
+_PIECE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -110,9 +126,12 @@ def ingest(path: str, options: ParseOptions | None = None) -> tuple[DataMatrix, 
     the first row for a header, anywhere in the first column below it
     for row IDs.  A missing corner cell above a row-ID column marks a
     header too.  Missing or non-numeric cells raise ParseError
-    with their 1-based location; no imputation is attempted.  Returns
-    the matrix (state "raw") and per-column group labels when the
-    options provide them, else None.
+    with their 1-based location; no imputation is attempted.  A body of
+    a regular file of at least twice ``_PIECE_BYTES`` is parsed in one
+    forked piece per CPU, into one shared buffer that becomes the
+    matrix; the values, and any error, are those of the one-piece parse.
+    Returns the matrix (state "raw") and per-column group labels when
+    the options provide them, else None.
     """
     opts = options or ParseOptions()
     p = Path(path)
@@ -168,6 +187,9 @@ def _load_body(p: Path, delim: str, opts: ParseOptions) -> np.ndarray | None:
     ragged row hands the file to ``_parse_rows`` unchanged.  The row-ID
     column goes through a converter rather than ``usecols``, because
     ``usecols`` turns off numpy's check that every row has one width.
+    A large body is parsed in forked pieces (see ``_load_pieces``); when
+    it goes as one piece, or any piece fails, one ``np.loadtxt`` call in
+    this process parses it whole.
     """
     with open(p, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delim)
@@ -178,19 +200,180 @@ def _load_body(p: Path, delim: str, opts: ParseOptions) -> np.ndarray | None:
     if second is None:
         return None
     has_header, has_ids = _layout(first, opts.row_ids == "auto" and _is_label(second[0]), opts)
-    with open(p, newline="", encoding="utf-8-sig") as fh:
-        for _ in range(header_lines if has_header else 0):
-            next(fh)
-        try:
-            values = np.loadtxt(
-                fh, delimiter=delim, comments=None, quotechar='"', ndmin=2,
-                converters={0: _skip_id} if has_ids else None,
-            )
-        except ValueError:
+    skip = header_lines if has_header else 0
+    kwargs = dict(
+        delimiter=delim, comments=None, quotechar='"', ndmin=2,
+        converters={0: _skip_id} if has_ids else None,
+    )
+    values = _load_pieces(p, skip, len(first), kwargs)
+    if values is None:
+        with open(p, newline="", encoding="utf-8-sig") as fh:
+            for _ in range(skip):
+                next(fh)
+            try:
+                values = np.loadtxt(fh, **kwargs)
+            except ValueError:
+                return None
+        if values.shape[1] != len(first) or not np.isfinite(values).all():
             return None
-    if values.shape[1] != len(first) or not np.isfinite(values).all():
-        return None
     return values[:, 1:] if has_ids else values
+
+
+def _load_pieces(p: Path, skip: int, width: int, kwargs: dict) -> np.ndarray | None:
+    r"""The body after ``skip`` lines parsed in k forked children, or None to parse it in one piece.
+
+    k is the number of CPUs in the affinity mask, but at most one piece
+    per ``_PIECE_BYTES`` of body; with k = 1, without ``os.fork`` or for
+    a path that is not a regular file, nothing forks.  The body is cut
+    at the first ``\n`` after each k-th of its bytes, and each piece's
+    rows are counted in this process (see ``_count_rows``); a body with
+    a ``"`` or a lone ``\r``, also in the lines skipped before it, goes
+    as one piece.  The rows then land in one shared anonymous map of
+    rows x ``width`` doubles, which becomes the matrix: each child
+    parses its piece with the same ``np.loadtxt`` call and writes it at
+    its row offset only when its shape is the counted one and every
+    value is finite.  A child that fails for any reason (a parse error,
+    a width, a warning) exits non-zero, and then the whole body goes as
+    one piece, as it does when the map or a fork cannot be made.  No
+    child outlives this call: on any exit the rest are killed and
+    reaped.  The children's own memory, their piece's text and parsed
+    rows, is freed with them.
+    """
+    cpus = _affinity_cpus()
+    if cpus < 2 or not hasattr(os, "fork"):
+        return None
+    with open(p, "rb") as fb:
+        info = os.fstat(fb.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            return None
+        size = info.st_size
+        start = len(_BOM) if fb.read(len(_BOM)) == _BOM else 0
+        fb.seek(start)
+        # csv counted the skipped lines as text does, at \r, \n and \r\n alike
+        head = b"".join(fb.readline() for _ in range(skip))
+        if head.count(b"\r") != head.count(b"\r\n"):
+            return None
+        start += len(head)
+        k = min(cpus, (size - start) // _PIECE_BYTES)
+        if k < 2:
+            return None
+        cuts = [start]
+        for i in range(1, k):
+            fb.seek(start + (size - start) * i // k - 1)
+            fb.readline()
+            cuts.append(fb.tell())
+        cuts.append(size)
+        if any(a >= b for a, b in zip(cuts, cuts[1:])):
+            return None
+        rows = [_count_rows(fb, a, b) for a, b in zip(cuts, cuts[1:])]
+        if None in rows:
+            return None
+        fb.seek(size - 1)
+        rows[-1] += fb.read(1) != b"\n"
+        if not all(rows):
+            return None
+
+    # signal is imported here, not with the module: its import costs about
+    # 1.5 ms, and only a forked parse uses it
+    import signal
+
+    offsets = [0, *itertools.accumulate(rows)]
+    parent, children = os.getpid(), []
+    try:
+        shared = mmap.mmap(-1, offsets[-1] * width * 8, flags=mmap.MAP_SHARED)
+        values = np.frombuffer(shared, dtype=np.float64).reshape(-1, width)
+        # Ctrl-C waits until each pid is recorded, so it orphans no child; the
+        # children keep SIGINT blocked and are killed on any exit
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for i in range(k):
+                pid = _fork()
+                if pid == 0:
+                    _parse_piece(p, cuts[i], cuts[i + 1], values[offsets[i] : offsets[i + 1]], kwargs)
+                children.append(pid)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+        while children:
+            status = os.waitpid(children[0], 0)[1]
+            children.pop(0)
+            if status != 0:
+                return None
+    except OSError:  # no map, no fork
+        return None
+    finally:
+        if os.getpid() != parent:
+            # a child that an exception reached before _parse_piece took it
+            os._exit(1)
+        for pid in children:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return values
+
+
+def _count_rows(fb, a: int, b: int) -> int | None:
+    r"""The rows ``np.loadtxt`` reads from bytes a to b of ``fb``, or None when they may not be cut.
+
+    a is a line start and b a line end or the end of the file.  The rows
+    are the ``\n`` less the blank lines, which ``np.loadtxt`` skips.  A
+    ``"``, which can quote a line end, gives None, and so does a block
+    with more or fewer ``\r`` than ``\n`` when it has any: a lone
+    ``\r`` ends a line that ``\n`` does not count.
+    """
+    fb.seek(a)
+    rows = 0
+    while a < b:
+        block = fb.read(min(b - a, _PIECE_BYTES))
+        if a + len(block) < b:
+            # each block ends at a line end, so each one starts a line
+            block += fb.readline()
+        if not block or b'"' in block:
+            return None
+        text = np.frombuffer(block, dtype=np.uint8)
+        lf = text == ord("\n")
+        lines = int(np.count_nonzero(lf))
+        ends = lf
+        if b"\r" in block:
+            # every line ends in \r\n, so \n then \r starts a blank line
+            ends = text == ord("\r")
+            if np.count_nonzero(ends) != lines:
+                return None
+        # a blank line starts the block or starts right after a line end
+        rows += lines - int(np.count_nonzero(ends[1:] & lf[:-1])) - bool(ends[0])
+        a += len(block)
+    return rows
+
+
+def _fork() -> int:
+    # Python 3.12 and later warn that a fork with other threads running (as
+    # BLAS's are) may deadlock the child; this child takes no lock that
+    # another thread could hold: it runs numpy's parser on its own bytes,
+    # calls no BLAS and writes no output, and the interpreter's locks and
+    # malloc's are reset in it at fork
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        return os.fork()
+
+
+def _parse_piece(p: Path, a: int, b: int, out: np.ndarray, kwargs: dict) -> NoReturn:
+    """In a forked child: parse bytes a to b of ``p`` into ``out`` and exit, 0 on success.
+
+    The exit skips ``atexit`` handlers and unflushed output, and with
+    the garbage collector off no finalizer of the parent's runs here.
+    Every warning fails the piece; the one-piece path then meets it.
+    """
+    status = 1
+    try:
+        gc.disable()
+        warnings.simplefilter("error")
+        with open(p, "rb") as fb:
+            data = os.pread(fb.fileno(), b - a, a)
+        piece = np.loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""), **kwargs)
+        if piece.shape == out.shape and np.isfinite(piece).all():
+            out[...] = piece
+            status = 0
+    finally:
+        os._exit(status)
 
 
 def _parse_rows(p: Path, delim: str, opts: ParseOptions) -> np.ndarray:

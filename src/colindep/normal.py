@@ -12,13 +12,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from ._cpus import _affinity_cpus
 from .correlation import offdiag_moments
 from .errors import CalibrationFailure, InvalidInput
 from .matrix import DataMatrix, SpectralSummary, _smaller_gram, _standardize_axis, double_standardize
@@ -222,14 +222,6 @@ def _psd_eigenvalues(mat: np.ndarray) -> np.ndarray:
     if vals.sum() <= 0:
         raise InvalidInput("matrix has no positive eigenvalues")
     return vals
-
-
-def _affinity_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, where the platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def map_replicates(

@@ -85,11 +85,23 @@ class TestAudit:
         ({"calib_reps": 0}, "calib_reps must be positive"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"seed": "3"}, "seed must be an integer, got '3'"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"L": 2.5}, "L must be an integer, got 2.5"),
+        ({"eigen_reps": 2.5}, "eigen_reps must be an integer, got 2.5"),
+        ({"calib_reps": 2.5}, "calib_reps must be an integer, got 2.5"),
+        ({"sim_m": 2000.5}, "sim_m must be an integer, got 2000.5"),
+        ({"max_iter": 3.5}, "max_iter must be an integer, got 3.5"),
+        ({"min_block": 2.5}, "min_block must be an integer, got 2.5"),
+        ({"max_block": True}, "max_block must be an integer, got True"),
     ])
     def test_invalid_settings_rejected_on_construction(self, setting, message):
         with pytest.raises(InvalidInput) as err:
             AuditConfig(**setting)
         assert str(err.value).startswith(message)
+
+    def test_integer_settings_of_any_integer_type(self):
+        cfg = AuditConfig(seed=np.uint32(3), L=np.int64(50), sim_m=np.int16(90))
+        assert [(type(v), v) for v in (cfg.seed, cfg.L, cfg.sim_m)] == [(int, 3), (int, 50), (int, 90)]
 
     def test_fixed_settings_reported_not_settable(self):
         # the audit always uses the eigen estimator; the report still names it

@@ -1,11 +1,15 @@
 import csv
 import importlib
 import json
+import mmap
 import os
 import shlex
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +23,8 @@ from colindep import (
 )
 from colindep.cli import build_parser, main
 from colindep.normal import _bartlett_factor
+
+cio = importlib.import_module("colindep.io")
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 #: the environment of a fresh interpreter that imports colindep from this tree
@@ -331,6 +337,207 @@ class TestIngestRoundTrip:
         assert peak < 1.5 * x.nbytes
 
 
+class TestIngestHeldOnce:
+    """On either path, in one piece or in forked pieces, the parent holds the matrix once."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_matrix_not_copied_nor_concatenated(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(cio, "_affinity_cpus", lambda: cpus)
+        x = np.random.default_rng(125).standard_normal((20000, 63))
+        path = tmp_path / "big.csv"
+        with open(path, "w") as fh:
+            fh.write("," + ",".join(f"s{j}" for j in range(63)) + "\n")
+            fh.writelines(f"g{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(x.tolist()))
+        tracemalloc.start()
+        try:
+            got, _ = ingest(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.values, x) and _mapped(got.values) == (cpus > 1)
+        # in one piece the parsed array is adopted; in pieces the matrix is the shared
+        # map, which tracemalloc does not see, and a concatenation would show
+        assert peak < (1.5 if cpus == 1 else 1.0) * x.nbytes
+
+
+def _mapped(a):
+    # whether the array's memory is a shared map, as the forked pieces leave it
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return isinstance(a.base, memoryview) and isinstance(a.base.obj, mmap.mmap)
+
+
+#: an 8 x 3 body with a header, row IDs, a byte-order mark and CRLF line ends
+_FRAMED = "\ufeff,a,b,c\r\n" + "".join(f"g{i},{i}.5,{i + 1}e-3,-{i}\r\n" for i in range(8))
+
+
+class TestIngestPieces:
+    """Bodies above the piece floor, parsed in forked pieces, read as one in-process parse does."""
+
+    CPUS = 3
+
+    @pytest.fixture(autouse=True)
+    def pieces(self, monkeypatch):
+        # a 16-byte floor puts these files' bodies, of 50 to 200 bytes, in 2 or 3 pieces
+        monkeypatch.setattr(cio, "_PIECE_BYTES", 16)
+        monkeypatch.setattr(cio, "_affinity_cpus", lambda: self.CPUS)
+        forks, fork = [], cio._fork
+        monkeypatch.setattr(cio, "_fork", lambda: forks.append(1) or fork())
+        yield forks
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def _compare(self, monkeypatch, path):
+        # (outcome with k = 1, outcome with the pieces, the matrix the pieces gave or None)
+        monkeypatch.setattr(cio, "_affinity_cpus", lambda: 1)
+        one = _outcome(lambda: ingest(str(path))[0])
+        monkeypatch.setattr(cio, "_affinity_cpus", lambda: self.CPUS)
+        read = []
+        got = _outcome(lambda: read.append(ingest(str(path))[0]) or read[0])
+        return one, got, read[0].values if read else None
+
+    @pytest.mark.parametrize("text", [
+        _FRAMED,
+        _FRAMED.rstrip(),  # no final line end
+        "".join(f"{i},{2 * i},{3 * i}\n" for i in range(10)),  # no header, no row IDs
+        "\ufeff" + "".join(f"{i},{2 * i},{3 * i}\n" for i in range(10)),
+        "\n\na,b\n\n" + "".join(f"{i},{i}\n\n" for i in range(10)) + "\n",  # blank lines
+        "\r\na,b\r\n" + "".join(f"{i},{i}\r\n\r\n" for i in range(10)),  # blank CRLF lines
+    ])
+    def test_same_values_as_one_piece(self, tmp_path, monkeypatch, pieces, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text, newline="", encoding="utf-8")
+        one, got, values = self._compare(monkeypatch, path)
+        assert one[0] == "ok" and got == one
+        assert 2 <= len(pieces) <= self.CPUS and _mapped(values)
+
+    @pytest.mark.parametrize("pad", range(12))
+    def test_cut_on_every_byte_of_a_line(self, tmp_path, monkeypatch, pieces, pad):
+        # 12-byte rows after a first row of 11 + pad bytes: the two-piece cut falls on
+        # each byte of a line in turn, among them the line end and a byte either side
+        monkeypatch.setattr(self, "CPUS", 2)
+        path = tmp_path / "m.csv"
+        path.write_text("0" * pad + "1.5,2.5,3.5\n" + "".join(f"{i}.5,{i}.5,{i}.5\n" for i in range(7)))
+        one, got, values = self._compare(monkeypatch, path)
+        assert one[0] == "ok" and got == one and _mapped(values)
+
+    @pytest.mark.parametrize("last_row, error", [
+        ("g7,7.5,x,1", ("ParseError", "non-numeric cell 'x' (row 9, column 3)", 9, 3)),
+        ("g7,7.5,nan,1", ("ParseError", "missing value (row 9, column 3)", 9, 3)),
+        ("g7,7.5,0.5", ("ParseError", "ragged table: 3 cells, expected 4 (row 9)", 9, None)),
+        ("g7,7.5,inf,1", ("InvalidInput", "matrix entries must be finite", None, None)),
+    ])
+    def test_bad_last_piece_as_one_piece(self, tmp_path, monkeypatch, pieces, last_row, error):
+        path = tmp_path / "m.csv"
+        path.write_text(_FRAMED[: _FRAMED.rindex("g7")] + last_row + "\r\n", newline="", encoding="utf-8")
+        one, got, _ = self._compare(monkeypatch, path)
+        assert got == one
+        assert got[0] == error[0] and got[2:] == error[2:] and got[1].startswith(error[1])
+        assert pieces
+
+    @pytest.mark.parametrize("failure", ["a child exits 3", "the second fork fails"])
+    def test_failed_piece_falls_back(self, tmp_path, monkeypatch, pieces, failure):
+        path = tmp_path / "m.csv"
+        path.write_text(_FRAMED, newline="", encoding="utf-8")
+        if failure == "a child exits 3":
+            monkeypatch.setattr(cio, "_parse_piece", lambda *args: os._exit(3))
+        else:
+            fork = cio._fork
+
+            def fork_once():
+                if pieces:
+                    raise BlockingIOError("fork: resource temporarily unavailable")
+                return fork()
+
+            monkeypatch.setattr(cio, "_fork", fork_once)
+        one, got, values = self._compare(monkeypatch, path)
+        assert one[0] == "ok" and got == one and not _mapped(values) and pieces
+
+    def test_interrupt_kills_and_reaps_the_children(self, tmp_path, monkeypatch, pieces):
+        path = tmp_path / "m.csv"
+        path.write_text(_FRAMED, newline="", encoding="utf-8")
+        monkeypatch.setattr(cio, "_parse_piece", lambda *args: (time.sleep(60), os._exit(0)))
+        waitpid, waits = os.waitpid, []
+
+        def interrupted(pid, options):
+            # the first wait for a child is interrupted, as by Ctrl-C
+            waits.append(pid)
+            if len(waits) == 1:
+                raise KeyboardInterrupt
+            return waitpid(pid, options)
+
+        monkeypatch.setattr(os, "waitpid", interrupted)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            ingest(str(path))
+        assert len(pieces) == self.CPUS and time.perf_counter() - t0 < 30
+
+    def test_interrupt_between_forks_orphans_no_child(self, tmp_path, monkeypatch, pieces):
+        path = tmp_path / "m.csv"
+        path.write_text(_FRAMED, newline="", encoding="utf-8")
+        monkeypatch.setattr(cio, "_parse_piece", lambda *args: (time.sleep(60), os._exit(0)))
+        fork = cio._fork
+
+        def interrupted_fork():
+            # Ctrl-C right after a fork returns, before its pid is recorded
+            pid = fork()
+            if pid:
+                os.kill(os.getpid(), signal.SIGINT)
+            return pid
+
+        monkeypatch.setattr(cio, "_fork", interrupted_fork)
+        with pytest.raises(KeyboardInterrupt):
+            ingest(str(path))
+        assert len(pieces) == self.CPUS
+
+    def test_fork_warning_is_no_error(self, tmp_path, monkeypatch, pieces):
+        # Python 3.12 and later warn in the parent, after the fork, when other
+        # threads run; as an error it would lose the child's pid
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks in the child.",
+                              DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        path = tmp_path / "m.csv"
+        path.write_text(_FRAMED, newline="", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, _ = ingest(str(path))
+        assert len(pieces) == self.CPUS and _mapped(got.values)
+
+    @pytest.mark.parametrize("case", [
+        "one cpu", "no fork", "below the floor", "quote", "lone CR header", "no LF", "lone CR body", "mixed line ends",
+    ])
+    def test_one_piece_without_a_fork(self, tmp_path, monkeypatch, pieces, case):
+        text = _FRAMED
+        if case == "one cpu":
+            monkeypatch.setattr(cio, "_affinity_cpus", lambda: 1)
+        elif case == "no fork":
+            monkeypatch.delattr(os, "fork")
+        elif case == "below the floor":
+            monkeypatch.setattr(cio, "_PIECE_BYTES", 1 << 20)
+        elif case == "quote":
+            text = text.replace("g3", '"g3"')
+        elif case == "lone CR header":
+            text = text.replace("\r\n", "\r", 1)
+        elif case == "no LF":
+            text = text.replace("\r\n", "\r")
+        elif case == "lone CR body":
+            text = text.replace("-3\r\n", "-3\r")
+        else:
+            text = text.replace("-3\r\n", "-3\n")
+        path = tmp_path / "m.csv"
+        path.write_text(text, newline="", encoding="utf-8")
+        got, _ = ingest(str(path))
+        assert got.values.tolist() == [[i + 0.5, (i + 1) * 1e-3, -i] for i in range(8)]
+        assert not pieces and not _mapped(got.values)
+
+
 @pytest.fixture
 def matrix_file(tmp_path):
     rng = np.random.default_rng(122)
@@ -630,9 +837,9 @@ assert scipy_loaded()
         assert report["errors"] == {}
 
     def test_input_file_not_mutated(self, matrix_file):
-        before = open(matrix_file, "rb").read()
+        before = Path(matrix_file).read_bytes()
         main(["permtest", matrix_file, "--stat", "trend", "--L", "50", "--seed", "1"])
-        assert open(matrix_file, "rb").read() == before
+        assert Path(matrix_file).read_bytes() == before
 
 
 _COMMON_SETTINGS = [(["--seed", "3"], "seed", 3), (["--tol", "1e-6"], "tol", 1e-6),
