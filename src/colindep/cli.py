@@ -25,7 +25,7 @@ import csv
 import functools
 import math
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import fields
 
 import numpy as np
@@ -142,8 +142,18 @@ def _prepare(args) -> tuple[Prepared, list[str] | None]:
     return prepare(x, cfg), labels
 
 
+@contextmanager
+def _output(path: str, **kwargs):
+    """``path`` opened for writing; an OSError from opening or writing it is a usage error."""
+    try:
+        with open(path, "w", **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with _output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -159,7 +169,7 @@ def _write_report(report, fmt: str, out: str | None) -> None:
     elif isinstance(report, dict) and fmt == "text":
         lines = [f"{k}: {v}" for k, v in report.items() if not isinstance(v, (list, dict, OutlierReport))]
         report = "\n".join(lines)
-    with nullcontext(sys.stdout) if out is None else open(out, "w") as fh:
+    with nullcontext(sys.stdout) if out is None else _output(out) as fh:
         if isinstance(report, str):
             fh.write(report if report.endswith("\n") else report + "\n")
         else:

@@ -5,9 +5,8 @@ A large matrix file is parsed in forked pieces, one per CPU (see ``ingest``).
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import gc
+import functools
 import io
 import itertools
 import mmap
@@ -17,11 +16,10 @@ import stat
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
-from ._cpus import _affinity_cpus
+from ._cpus import _affinity_cpus, _forked, _reap
 from .errors import InvalidInput, ParseError
 from .matrix import DataMatrix
 
@@ -273,41 +271,22 @@ def _load_pieces(p: Path, skip: int, width: int, kwargs: dict) -> np.ndarray | N
         if not all(rows):
             return None
 
-    # signal is imported here, not with the module: its import costs about
-    # 1.5 ms, and only a forked parse uses it
-    import signal
-
     offsets = [0, *itertools.accumulate(rows)]
-    parent, children = os.getpid(), []
     try:
         shared = mmap.mmap(-1, offsets[-1] * width * 8, flags=mmap.MAP_SHARED)
-        values = np.frombuffer(shared, dtype=np.float64).reshape(-1, width)
-        # Ctrl-C waits until each pid is recorded, so it orphans no child; the
-        # children keep SIGINT blocked and are killed on any exit
-        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            for i in range(k):
-                pid = _fork()
-                if pid == 0:
-                    _parse_piece(p, cuts[i], cuts[i + 1], values[offsets[i] : offsets[i + 1]], kwargs)
-                children.append(pid)
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-        while children:
-            status = os.waitpid(children[0], 0)[1]
-            children.pop(0)
-            if status != 0:
-                return None
-    except OSError:  # no map, no fork
+    except OSError:
         return None
-    finally:
-        if os.getpid() != parent:
-            # a child that an exception reached before _parse_piece took it
-            os._exit(1)
-        for pid in children:
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    values = np.frombuffer(shared, dtype=np.float64).reshape(-1, width)
+    work = (
+        functools.partial(_parse_piece, p, cuts[i], cuts[i + 1], values[offsets[i] : offsets[i + 1]], kwargs)
+        for i in range(k)
+    )
+    with _forked(work) as children:
+        if children is None:
+            return None
+        while children:
+            if _reap(children) != 0:
+                return None
     return values
 
 
@@ -344,36 +323,19 @@ def _count_rows(fb, a: int, b: int) -> int | None:
     return rows
 
 
-def _fork() -> int:
-    # Python 3.12 and later warn that a fork with other threads running (as
-    # BLAS's are) may deadlock the child; this child takes no lock that
-    # another thread could hold: it runs numpy's parser on its own bytes,
-    # calls no BLAS and writes no output, and the interpreter's locks and
-    # malloc's are reset in it at fork
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return os.fork()
+def _parse_piece(p: Path, a: int, b: int, out: np.ndarray, kwargs: dict) -> int:
+    """In a forked child: parse bytes a to b of ``p`` into ``out``; 0 on success, else 1.
 
-
-def _parse_piece(p: Path, a: int, b: int, out: np.ndarray, kwargs: dict) -> NoReturn:
-    """In a forked child: parse bytes a to b of ``p`` into ``out`` and exit, 0 on success.
-
-    The exit skips ``atexit`` handlers and unflushed output, and with
-    the garbage collector off no finalizer of the parent's runs here.
     Every warning fails the piece; the one-piece path then meets it.
     """
-    status = 1
-    try:
-        gc.disable()
-        warnings.simplefilter("error")
-        with open(p, "rb") as fb:
-            data = os.pread(fb.fileno(), b - a, a)
-        piece = np.loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""), **kwargs)
-        if piece.shape == out.shape and np.isfinite(piece).all():
-            out[...] = piece
-            status = 0
-    finally:
-        os._exit(status)
+    warnings.simplefilter("error")
+    with open(p, "rb") as fb:
+        data = os.pread(fb.fileno(), b - a, a)
+    piece = np.loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""), **kwargs)
+    if piece.shape != out.shape or not np.isfinite(piece).all():
+        return 1
+    out[...] = piece
+    return 0
 
 
 def _parse_rows(p: Path, delim: str, opts: ParseOptions) -> np.ndarray:

@@ -21,6 +21,8 @@ from colindep import (
     AuditConfig, ColindepError, DataMatrix, InvalidInput, ParseError, ParseOptions, SimulationSpec, cli,
     audit, double_standardize, eigenratio_null, ingest, sample_matrix_normal, write_matrix,
 )
+from colindep import _cpus as ccpus
+from colindep import jsonout
 from colindep.cli import build_parser, main
 from colindep.normal import _bartlett_factor
 
@@ -381,8 +383,8 @@ class TestIngestPieces:
         # a 16-byte floor puts these files' bodies, of 50 to 200 bytes, in 2 or 3 pieces
         monkeypatch.setattr(cio, "_PIECE_BYTES", 16)
         monkeypatch.setattr(cio, "_affinity_cpus", lambda: self.CPUS)
-        forks, fork = [], cio._fork
-        monkeypatch.setattr(cio, "_fork", lambda: forks.append(1) or fork())
+        forks, fork = [], ccpus._fork
+        monkeypatch.setattr(ccpus, "_fork", lambda: forks.append(1) or fork())
         yield forks
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -442,14 +444,14 @@ class TestIngestPieces:
         if failure == "a child exits 3":
             monkeypatch.setattr(cio, "_parse_piece", lambda *args: os._exit(3))
         else:
-            fork = cio._fork
+            fork = ccpus._fork
 
             def fork_once():
                 if pieces:
                     raise BlockingIOError("fork: resource temporarily unavailable")
                 return fork()
 
-            monkeypatch.setattr(cio, "_fork", fork_once)
+            monkeypatch.setattr(ccpus, "_fork", fork_once)
         one, got, values = self._compare(monkeypatch, path)
         assert one[0] == "ok" and got == one and not _mapped(values) and pieces
 
@@ -476,7 +478,7 @@ class TestIngestPieces:
         path = tmp_path / "m.csv"
         path.write_text(_FRAMED, newline="", encoding="utf-8")
         monkeypatch.setattr(cio, "_parse_piece", lambda *args: (time.sleep(60), os._exit(0)))
-        fork = cio._fork
+        fork = ccpus._fork
 
         def interrupted_fork():
             # Ctrl-C right after a fork returns, before its pid is recorded
@@ -485,7 +487,7 @@ class TestIngestPieces:
                 os.kill(os.getpid(), signal.SIGINT)
             return pid
 
-        monkeypatch.setattr(cio, "_fork", interrupted_fork)
+        monkeypatch.setattr(ccpus, "_fork", interrupted_fork)
         with pytest.raises(KeyboardInterrupt):
             ingest(str(path))
         assert len(pieces) == self.CPUS
@@ -743,6 +745,34 @@ class TestCli:
     def test_usage_error_exit_code(self):
         assert main(["permtest"]) == 1  # missing required arguments
         assert main(["no-such-command"]) == 1
+
+    @pytest.mark.parametrize("target, reason", [("missing/o", "No such file or directory"), (".", "Is a directory")])
+    @pytest.mark.parametrize("argv", [
+        ["permtest", "INPUT", "--stat", "block", "--L", "30", "--out", "OUT"],
+        ["fdr-scan", "INPUT", "--hist-out", "OUT"],
+        ["simulate", "--model", "wishart", "--df", "8", "--n", "4", "--reps", "3", "--out", "OUT"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_output_exits_1(self, matrix_file, tmp_path, capsys, argv, target, reason):
+        out = str(tmp_path / target)
+        argv = [matrix_file if arg == "INPUT" else out if arg == "OUT" else arg for arg in argv]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, whose every write fails")
+    def test_failed_write_reaps_the_pair_writers(self, tmp_path, monkeypatch, capsys):
+        # the 1,225 pairs of 50 columns go in two pieces of 100-pair chunks
+        monkeypatch.setattr(jsonout, "_PAIR_CHUNK", 100)
+        monkeypatch.setattr(jsonout, "_PIECE_PAIRS", 400)
+        monkeypatch.setattr(jsonout, "_affinity_cpus", lambda: 2)
+        forks, fork = [], ccpus._fork
+        monkeypatch.setattr(ccpus, "_fork", lambda: forks.append(1) or fork())
+        path = tmp_path / "fifty.csv"
+        write_matrix(str(path), DataMatrix(np.random.default_rng(126).standard_normal((60, 50))))
+        assert main(["fdr-scan", str(path), "--out", "/dev/full"]) == 1
+        assert capsys.readouterr().err == "error: cannot write /dev/full: No space left on device\n"
+        assert forks == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_parser_built_once_per_process(self, matrix_file, monkeypatch, capsys):
         builds = []
@@ -1170,6 +1200,7 @@ class TestInputRules:
     @pytest.mark.parametrize("argv", [
         ["audit", "usage.csv", "--delimiter", "\\t"],
         ["bilinear", "usage.csv", "--groups", "4,4", "--groups-file", "g.txt"],
+        ["permtest", "usage.csv", "--stat", "block", "--L", "30", "--out", "missing/o.json"],
     ])
     def test_usage_errors_in_a_fresh_process(self, tmp_path, argv):
         np.savetxt(tmp_path / "usage.csv", np.random.default_rng(0).standard_normal((40, 8)), delimiter=",")

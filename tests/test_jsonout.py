@@ -1,8 +1,12 @@
 """The streamed JSON writer gives the bytes ``json.dumps`` gives for the full pair list."""
 
+import errno
 import gc
+import io
 import json
+import os
 import re
+import time
 import tracemalloc
 import weakref
 
@@ -20,7 +24,7 @@ from colindep import (
     scan_column_pairs,
     write_matrix,
 )
-from colindep import cli, jsonout
+from colindep import _cpus, cli, jsonout
 from colindep.cli import main
 from colindep.jsonout import dumps, write_json
 
@@ -167,6 +171,133 @@ class TestWriterMatchesJsonDumps:
                 tracemalloc.stop()
         assert scanned < 32 * 2**20
         assert written < 12 * 2**20
+
+
+def planted(n: int, discoveries: list[int], seed: int = 0) -> OutlierReport:
+    """A report on ``n`` columns with random r and p and the given discoveries."""
+    rng = np.random.default_rng(seed)
+    r, p = rng.uniform(-1, 1, n * (n - 1) // 2), rng.uniform(0, 1, n * (n - 1) // 2)
+    found = np.array(discoveries, dtype=np.int64)
+    return OutlierReport(n, r, p, 0.1, found, float(r[found].min()), "correlation", 12.0)
+
+
+def pair_list(report: OutlierReport) -> str:
+    return oracle({"pairs": report.to_dict()["pairs"]})
+
+
+def written(payload, path) -> str:
+    # a file with a ``buffer``, which the piece path copies the children's pieces into
+    with open(path, "w") as fh:
+        write_json(payload, fh)
+    return path.read_text()
+
+
+class TestWriterPieces:
+    """A pair list cut into forked pieces is written with the bytes of ``json.dumps``."""
+
+    @pytest.fixture(autouse=True)
+    def forks(self, monkeypatch):
+        # 3-pair chunks and a 6-pair floor cut n = 7's 21 pairs into one piece per CPU,
+        # up to 3: at pair 9 (mid-row 1) for two, at 6 and 12 (mid-row 2) for three
+        monkeypatch.setattr(jsonout, "_PAIR_CHUNK", 3)
+        monkeypatch.setattr(jsonout, "_PIECE_PAIRS", 6)
+        monkeypatch.setattr(jsonout, "_affinity_cpus", lambda: 3)
+        forks, fork = [], _cpus._fork
+        monkeypatch.setattr(_cpus, "_fork", lambda: forks.append(1) or fork())
+        yield forks
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_pieces_match_json_dumps(self, tmp_path, monkeypatch, forks, cpus):
+        monkeypatch.setattr(jsonout, "_affinity_cpus", lambda: cpus)
+        report = planted(7, [0, 20])
+        payload = {**report.to_dict(include_pairs=False), "pairs": report}
+        assert written(payload, tmp_path / "o.json") == oracle(report.to_dict(include_pairs=True))
+        assert len(forks) == cpus - 1
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_discoveries_either_side_of_a_cut(self, tmp_path, monkeypatch, forks, cpus):
+        monkeypatch.setattr(jsonout, "_affinity_cpus", lambda: cpus)
+        report = planted(7, [5, 6, 8, 9, 11, 12])
+        assert written({"pairs": report}, tmp_path / "o.json") == pair_list(report)
+        assert len(forks) == cpus - 1
+
+    def test_nested_reports(self, tmp_path, forks):
+        a, b = planted(7, [3, 10], seed=1), planted(8, [27], seed=2)
+        payload = {"x": {"deep": [a, 1]}, "y": b}
+        want = {"x": {"deep": [a.to_dict()["pairs"], 1]}, "y": b.to_dict()["pairs"]}
+        assert written(payload, tmp_path / "o.json") == oracle(want)
+        assert len(forks) == 4
+
+    @pytest.mark.parametrize("failure", ["a child exits 3", "the second fork fails"])
+    def test_failed_piece_rendered_here(self, tmp_path, monkeypatch, forks, failure):
+        if failure == "a child exits 3":
+            monkeypatch.setattr(jsonout, "_render_piece", lambda *args: os._exit(3))
+        else:
+            fork = _cpus._fork
+
+            def fork_once():
+                if forks:
+                    raise BlockingIOError("fork: resource temporarily unavailable")
+                return fork()
+
+            monkeypatch.setattr(_cpus, "_fork", fork_once)
+        report = planted(7, [2, 9, 12])
+        assert written({"pairs": report}, tmp_path / "o.json") == pair_list(report)
+        assert len(forks) == (2 if failure == "a child exits 3" else 1)
+
+    @pytest.mark.parametrize("case", ["one cpu", "below the floor", "no memfd_create", "a string target"])
+    def test_one_piece_without_a_fork(self, tmp_path, monkeypatch, forks, case):
+        if case == "one cpu":
+            monkeypatch.setattr(jsonout, "_affinity_cpus", lambda: 1)
+        elif case == "below the floor":
+            monkeypatch.setattr(jsonout, "_PIECE_PAIRS", 22)
+        elif case == "no memfd_create":
+            monkeypatch.delattr(os, "memfd_create")
+        report = planted(7, [4])
+        payload = {"pairs": report}
+        text = dumps(payload) if case == "a string target" else written(payload, tmp_path / "o.json")
+        assert text == pair_list(report) and not forks
+
+    def test_failed_write_kills_the_children(self, monkeypatch, forks):
+        # the children would render for a minute; the parent's third write fails
+        monkeypatch.setattr(jsonout, "_render_piece", lambda *args: time.sleep(60) or 0)
+
+        class Full(io.TextIOWrapper):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(text)
+
+        t0 = time.perf_counter()
+        with pytest.raises(OSError, match="No space"):
+            write_json({"pairs": planted(7, [1])}, Full(io.BytesIO(), encoding="utf-8"))
+        assert len(forks) == 2 and time.perf_counter() - t0 < 30
+
+
+def test_pieces_hold_no_more_than_one_piece(tmp_path, monkeypatch):
+    # writing 499,500 pairs in one piece peaks near 4.0 MiB, at its largest chunk;
+    # in two pieces this process renders the first piece's chunks as it would alone
+    # and copies the second 1 MiB at a time.  Its few KiB of cut points, pids and
+    # files may sit on top of a chunk; a piece held whole would be 34 MB
+    report = scan(400, 1000, seed=7, m_tilde=14.0)
+    peaks, texts = {}, {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(jsonout, "_affinity_cpus", lambda: cpus)
+        with open(tmp_path / f"{cpus}.json", "w") as fh:
+            tracemalloc.start()
+            try:
+                write_json({"pairs": report}, fh)
+                peaks[cpus] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        texts[cpus] = (tmp_path / f"{cpus}.json").read_bytes()
+    assert texts[1] == texts[2]
+    assert peaks[2] <= peaks[1] + 2**16 and peaks[1] < 8 * 2**20, peaks
 
 
 class TestAuditJson:
