@@ -48,7 +48,7 @@ from .normal import (
     eigenratio,
     two_sample_w,
 )
-from .permutation import _STATISTICS, TestResult, _seed_words, exceeds, mc_pvalue, perm_pvalue
+from .permutation import _STATISTICS, TestResult, _seed_words, mc_pvalue, perm_pvalue, sequential_stop
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -232,13 +232,10 @@ def eigenratio_stage(
     stage = f"eigenratio_{null}"
     seed = stage_seed(cfg.seed, stage)
     s_obs = eigenratio(ctx.spectrum)
-    h = -(-cfg.eigen_reps // 20)
-    hits = 0
+    cut = sequential_stop(s_obs, cfg.eigen_reps)
 
     def stop(draw: tuple[float, float, float]) -> bool:
-        nonlocal hits
-        hits += bool(exceeds(draw[0], s_obs))
-        return hits == h
+        return cut(draw[0]) is not None
 
     if null == "wishart":
         extra = {"df": ctx.corr.m_tilde}

@@ -24,6 +24,7 @@ import argparse
 import csv
 import functools
 import math
+import os
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import fields
@@ -143,13 +144,19 @@ def _prepare(args) -> tuple[Prepared, list[str] | None]:
 
 
 @contextmanager
-def _output(path: str, **kwargs):
-    """``path`` opened for writing; an OSError from opening or writing it is a usage error."""
+def _writing(path: str):
+    """An OSError in the block, which writes ``path``, is a usage error."""
     try:
-        with open(path, "w", **kwargs) as fh:
-            yield fh
+        yield
     except OSError as exc:
         raise InvalidInput(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+@contextmanager
+def _output(path: str, **kwargs):
+    """``path`` opened for writing; an OSError from opening or writing it is a usage error."""
+    with _writing(path), open(path, "w", **kwargs) as fh:
+        yield fh
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -188,7 +195,8 @@ def _with_nulls(stage: tuple[dict, np.ndarray], path: str | None) -> dict:
 def _cmd_standardize(args) -> dict:
     ctx, _ = _prepare(args)
     if args.matrix_out:
-        write_matrix(args.matrix_out, ctx.z)
+        with _writing(args.matrix_out):
+            write_matrix(args.matrix_out, ctx.z)
     return {"m": ctx.z.m, "n": ctx.z.n, **ctx.info.to_dict(), "matrix_out": args.matrix_out}
 
 
@@ -263,11 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_permtest, L=5000)
     _add_common(p)
     p.add_argument("--stat", choices=_STATISTICS, required=True)
-    _setting(p, "--L", "L", "number of permutations", type=int)
+    _setting(p, "--L", "L", "most permutations: they stop at the ceil(L/20)-th that reaches the statistic",
+             type=int)
     _setting(p, "--min-block", "min_block", "shortest block run", type=int)
     _setting(p, "--max-block", "max_block", "longest block run", type=int)
     p.add_argument("--conservative", action="store_true", help="use (count+1)/(L+1)")
-    p.add_argument("--null-out", default=None, help="dump null samples to this CSV")
+    p.add_argument("--null-out", default=None, help="dump the L null samples taken to this CSV")
 
     p = sub.add_parser("eigenratio-test", help="eigenratio statistic against a simulated null")
     p.set_defaults(func=_cmd_eigenratio, eigen_reps=100)
@@ -315,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="run the full battery and emit a report")
     _add_common(p)
-    _setting(p, "--L", "L", "number of permutations per permutation test", type=int)
+    _setting(p, "--L", "L", "most permutations per permutation test, stopping at the ceil(L/20)-th that "
+             "reaches the statistic", type=int)
     _setting(p, "--reps", "eigen_reps",
              "most eigenratio null replicates, stopping at the ceil(REPS/20)-th that reaches the statistic",
              type=int)
@@ -350,6 +360,12 @@ def main(argv: list[str] | None = None) -> int:
     fmt, out = ("text", None) if args.command == "simulate" else (args.format, args.out)
     try:
         _write_report(args.func(args), fmt, out)
+        sys.stdout.flush()  # a closed pipe shows here, not at the interpreter's exit
+    except BrokenPipeError:
+        # the reader of stdout left: nothing more can be written there, also
+        # not at the interpreter's exit, so stdout is pointed at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _USAGE_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -58,8 +58,10 @@ class BlockBasis:
 class TestResult:
     """A statistic, its simulated null sample and the resulting p-value.
 
-    ``L`` is the number of null samples taken, and ``mc_se`` the Monte
-    Carlo standard error of a sampled p-value.
+    ``L`` is the number of null samples taken: for a sampled null that
+    stops at its ceil(L/20)-th exceedance (``sequential_stop``), fewer
+    than were asked for.  ``mc_se`` is the Monte Carlo standard error of
+    a sampled p-value.
     """
 
     statistic: float
@@ -235,6 +237,31 @@ def mc_pvalue(nulls: np.ndarray, s_obs: float, conservative: bool = False) -> tu
     return exceed / nulls.size, exceed
 
 
+def sequential_stop(s_obs: float, L: int) -> Callable[[np.ndarray | float], int | None]:
+    """Besag and Clifford's (1991) stop for a null sample of at most ``L`` draws.
+
+    The returned function is fed the draws in index order, any number at
+    a time.  It returns how many of the draws just fed to keep, up to the
+    h-th that ``exceeds`` counts over all draws so far, h = ceil(L/20),
+    and None while fewer than h have come.  ``mc_pvalue`` over the ell
+    draws kept gives p = h/ell.  A fixed-L p below 0.05 counts fewer than
+    h draws, so nothing stops and that p-value is the fixed-L one, bit for
+    bit; a sample that stops would have given p >= 0.05 at L draws too.
+    """
+    h = -(-L // 20)
+    hits = 0
+
+    def cut(draws: np.ndarray | float) -> int | None:
+        nonlocal hits
+        counts = np.cumsum(exceeds(draws, s_obs)) + hits
+        if counts[-1] >= h:
+            return int(np.searchsorted(counts, h)) + 1
+        hits = int(counts[-1])
+        return None
+
+    return cut
+
+
 def _null_rng(seed: int, replicate: int) -> np.random.Generator:
     # substream (seed, replicate) hashed by SeedSequence itself: the tests' oracle for _substreams
     return np.random.default_rng(np.random.SeedSequence((seed, replicate)))
@@ -338,14 +365,21 @@ def perm_pvalue(
     (tr of the column covariance against the block runs, recomputed
     under column permutations of the data).  The p-value is the fraction
     of permuted statistics at least as large as the observed one;
-    ``conservative=True`` uses (count+1)/(L+1) instead.
+    ``conservative=True`` uses (count+1)/(L+1) instead.  The sampled
+    null stops at the h-th permutation that reaches the observed
+    statistic, h = ceil(L/20) (``sequential_stop``): the result then
+    holds the first ell of the L fixed nulls, bit for bit, and reports
+    ``L`` = ell and p = h/ell.  Every p-value below 0.05 takes all L
+    permutations and is the fixed-L one.
 
     ``exhaustive=True`` replaces sampling with all n! permutations
     (allowed only for n <= 8) and returns the exact tail fraction.
     ``spectrum`` is a precomputed ``spectral(x)``, reused for the first
     eigenvector instead of a fresh eigendecomposition.  Permutation r is
     drawn from substream (seed, r), whose seeds are derived for all r in
-    one pass (``_substreams``).
+    one pass (``_substreams``).  Permutations are scored in chunks of
+    about ``_PERM_CELLS`` cells, and the stop cuts the last chunk at its
+    exact index, so the result does not depend on the chunk size.
     """
     if statistic not in _STATISTICS:
         raise InvalidInput(f"statistic must be one of {_STATISTICS}")
@@ -374,12 +408,20 @@ def perm_pvalue(
             return _trend_rows(v1[perms]) if basis is None else _block_rows(v1[perms], basis)
 
     s_obs = float(stats(np.arange(n)[None])[0])
-    perms = (itertools.permutations(range(n)) if exhaustive
-             else (rng.permutation(n) for rng in _substreams(seed, L)))
+    if exhaustive:
+        perms, cut = itertools.permutations(range(n)), None
+    else:
+        perms, cut = (rng.permutation(n) for rng in _substreams(seed, L)), sequential_stop(s_obs, L)
     # about _PERM_CELLS cells of statistic input per chunk of permutations
     step = max(1, _PERM_CELLS // width)
-    chunks = iter(lambda: list(itertools.islice(perms, step)), [])
-    nulls = np.concatenate([stats(np.array(chunk, dtype=np.intp)) for chunk in chunks])
+    pieces = []
+    for chunk in iter(lambda: list(itertools.islice(perms, step)), []):
+        pieces.append(stats(np.array(chunk, dtype=np.intp)))
+        keep = cut(pieces[-1]) if cut else None
+        if keep is not None:
+            pieces[-1] = pieces[-1][:keep]
+            break
+    nulls = np.concatenate(pieces)
     p, exceed = mc_pvalue(nulls, s_obs, conservative)
     method = f"perm_{statistic}" + ("_exhaustive" if exhaustive else "")
     return TestResult(

@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 
 from colindep import (
     AuditConfig, ColindepError, DataMatrix, InvalidInput, ParseError, ParseOptions, SimulationSpec, cli,
-    audit, double_standardize, eigenratio_null, ingest, sample_matrix_normal, write_matrix,
+    audit, block_basis, block_statistic, double_standardize, eigenratio_null, first_eigvec, ingest,
+    sample_matrix_normal, spectral, write_matrix,
 )
+from colindep.audit import prepare
 from colindep import _cpus as ccpus
 from colindep import jsonout
 from colindep.cli import build_parser, main
@@ -574,12 +576,26 @@ class TestCli:
         ])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["L"] == 200
-        assert 0.0 <= payload["p_value"] <= 1.0
+        # the fixed 200 permutations, one at a time: the null stops at the
+        # ceil(200/20) = 10th that reaches the statistic, or takes all 200
+        v1 = first_eigvec(spectral(prepare(ingest(matrix_file)[0], AuditConfig(seed=3)).z))
+        basis = block_basis(10, 2, 10)
+        fixed = np.array([block_statistic(v1[_substream(payload["seed"], r).permutation(10)], basis)
+                          for r in range(200)])
+        s_obs = payload["statistic"]
+        hits = np.flatnonzero(fixed >= s_obs - 1e-12 * max(1.0, abs(s_obs)))
+        ell = hits[9] + 1 if hits.size >= 10 else 200
+        assert payload["L"] == ell
+        assert payload["exceed_count"] == min(hits.size, 10)
+        assert payload["p_value"] == payload["exceed_count"] / ell
+        if hits.size < 10:
+            assert payload["p_value"] == hits.size / 200
         with open(nulls) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["null_sample"]
-        assert len(rows) == 201
+        assert len(rows) == ell + 1
+        dumped = np.array([float(row[0]) for row in rows[1:]])
+        assert np.abs(dumped - fixed[:ell]).max() <= 1e-12 * np.abs(fixed).max()
 
     def test_eigenratio_test(self, matrix_file, tmp_path):
         out = tmp_path / "res.json"
@@ -749,6 +765,7 @@ class TestCli:
     @pytest.mark.parametrize("target, reason", [("missing/o", "No such file or directory"), (".", "Is a directory")])
     @pytest.mark.parametrize("argv", [
         ["permtest", "INPUT", "--stat", "block", "--L", "30", "--out", "OUT"],
+        ["standardize", "INPUT", "--matrix-out", "OUT"],
         ["fdr-scan", "INPUT", "--hist-out", "OUT"],
         ["simulate", "--model", "wishart", "--df", "8", "--n", "4", "--reps", "3", "--out", "OUT"],
     ], ids=lambda argv: argv[0])
@@ -773,6 +790,40 @@ class TestCli:
         assert forks == [1]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "memfd_create"), reason="the pair writers need os.memfd_create")
+    def test_closed_stdout_pipe_exits_1_and_reaps_the_pair_writers(self, tmp_path):
+        # the 11,175 pairs of 150 columns, about 1 MB, go in two pieces of
+        # 100-pair chunks; the reader leaves at the first pair, written
+        # after the fork, with most of the list still to come
+        write_matrix(str(tmp_path / "wide.csv"), DataMatrix(np.random.default_rng(127).standard_normal((60, 150))))
+        script = "\n".join([
+            "import os, sys",
+            "from colindep import _cpus, jsonout",
+            "from colindep.cli import main",
+            "jsonout._PAIR_CHUNK, jsonout._PIECE_PAIRS = 100, 400",
+            "jsonout._affinity_cpus = lambda: 2",
+            "forks, fork = [], _cpus._fork",
+            "_cpus._fork = lambda: forks.append(1) or fork()",
+            "code = main(['fdr-scan', 'wide.csv'])",
+            "try:",
+            "    os.waitpid(-1, os.WNOHANG)",
+            "    left = 'a child is left'",
+            "except ChildProcessError:",
+            "    left = 'no child is left'",
+            "sys.stderr.write(f'{code} {len(forks)} {left}\\n')",
+            "sys.exit(code)",
+        ])
+        run = subprocess.Popen([sys.executable, "-c", script], cwd=tmp_path, env=_SRC_ENV, text=True,
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        lines = iter(run.stdout.readline, "")
+        assert next(lines) == "{\n"
+        assert any('"j": 0,' in line for line in lines)
+        run.stdout.close()
+        err = run.stderr.read()
+        assert run.wait() == 1
+        assert "Traceback" not in err
+        assert err == "1 1 no child is left\n"
 
     def test_parser_built_once_per_process(self, matrix_file, monkeypatch, capsys):
         builds = []

@@ -22,6 +22,43 @@ from colindep import (
 )
 
 
+def _substream(seed, rep):
+    return np.random.default_rng(np.random.SeedSequence((seed, rep)))
+
+
+def loop_nulls(x, statistic, perms, min_len=2, max_len=10):
+    """The observed statistic and the fixed-L null, scored by the public statistics one permutation at a time."""
+    basis = block_basis(x.n, min_len, max_len)
+    if statistic == "trace":
+        delta_hat = x.values.T @ x.values / x.m
+        stat = lambda p: trace_statistic(delta_hat[np.ix_(p, p)], basis)
+    else:
+        v1 = first_eigvec(spectral(x))
+        if statistic == "block":
+            stat = lambda p: block_statistic(v1[p], basis)
+        else:
+            stat = lambda p: trend_statistic(v1[p])
+    return stat(np.arange(x.n)), np.array([stat(np.asarray(p)) for p in perms])
+
+
+def stopped_length(nulls, s_obs, L):
+    """ell of the sequential stop: the index after the ceil(L/20)-th of the fixed-L nulls to reach s_obs, else L."""
+    hits = np.flatnonzero(nulls >= s_obs - 1e-12 * max(1.0, abs(s_obs)))
+    h = -(-L // 20)
+    return int(hits[h - 1]) + 1 if hits.size >= h else L
+
+
+def check_stopped_pvalue(res, fixed, s_obs, L):
+    """The stopped result against the fixed-L null: its length and count, and p below 0.05 unchanged."""
+    ell = stopped_length(fixed, s_obs, L)
+    fixed_p, fixed_count = mc_pvalue(fixed, s_obs)
+    assert res.L == ell
+    assert res.exceed_count == min(fixed_count, -(-L // 20))
+    assert res.p_value == res.exceed_count / res.L
+    if res.p_value < 0.05 or fixed_p < 0.05:
+        assert ell == L and res.p_value == fixed_p
+
+
 def catalog(basis):
     """Dense 0/1 block vectors, one row per run: the oracle for the run-sum forms."""
     rows = []
@@ -249,20 +286,20 @@ class TestStatisticsMatchCatalog:
                 oracle = float(np.einsum("hi,ij,hj->", vectors, dp, vectors))
                 assert trace_statistic(dp, basis) == pytest.approx(oracle, rel=1e-12)
 
+            # L = 7 stops at the first permutation that reaches the statistic
             seed, L = int(rng.integers(1000)), 7
-            perms = [
-                np.random.default_rng(np.random.SeedSequence((seed, rep))).permutation(n)
-                for rep in range(L)
-            ]
+            perms = [_substream(seed, rep).permutation(n) for rep in range(L)]
             v1 = first_eigvec(spectral(x))
             res = perm_pvalue(x, "block", L=L, seed=seed, min_len=min_len, max_len=max_len)
-            oracle = [float(np.sum((vectors @ v1[p]) ** 2)) for p in perms]
-            assert np.allclose(res.null_samples, oracle, rtol=1e-12, atol=0.0)
+            block = lambda p: float(np.sum((vectors @ v1[p]) ** 2))
+            oracle = np.array([block(p) for p in perms])
+            ell = stopped_length(oracle, block(np.arange(n)), L)
+            assert np.allclose(res.null_samples, oracle[:ell], rtol=1e-12, atol=0.0)
             res = perm_pvalue(x, "trace", L=L, seed=seed, min_len=min_len, max_len=max_len)
-            oracle = [
-                float(np.einsum("hi,ij,hj->", vectors, delta[np.ix_(p, p)], vectors)) for p in perms
-            ]
-            assert np.allclose(res.null_samples, oracle, rtol=1e-12, atol=0.0)
+            trace = lambda p: float(np.einsum("hi,ij,hj->", vectors, delta[np.ix_(p, p)], vectors))
+            oracle = np.array([trace(p) for p in perms])
+            ell = stopped_length(oracle, trace(np.arange(n)), L)
+            assert np.allclose(res.null_samples, oracle[:ell], rtol=1e-12, atol=0.0)
 
     def test_asymmetric_delta_rejected(self):
         delta = np.eye(5)
@@ -297,8 +334,12 @@ class TestPermPvalue:
         u = np.abs(rng.standard_normal(10)) + 0.5
         x = DataMatrix(np.outer(u, np.ones(5)))
         res = perm_pvalue(x, "block", L=50, seed=1)
+        # every permutation ties, so the null stops at its ceil(50/20) = 3rd draw
+        s_obs, fixed = loop_nulls(x, "block", [_substream(1, rep).permutation(5) for rep in range(50)])
+        assert mc_pvalue(fixed, s_obs) == (1.0, 50)
         assert res.p_value == 1.0
-        assert res.exceed_count == 50
+        assert res.exceed_count == 3 and res.L == 3
+        check_stopped_pvalue(res, fixed, s_obs, 50)
 
     def test_exhaustive_matches_manual_enumeration(self):
         rng = np.random.default_rng(72)
@@ -335,18 +376,22 @@ class TestPermPvalue:
         rng = np.random.default_rng(75)
         x = demean(DataMatrix(rng.standard_normal((18, 6))))
         res = perm_pvalue(x, "block", L=137, seed=2)
-        assert res.p_value == res.exceed_count / 137
+        s_obs, fixed = loop_nulls(x, "block", [_substream(2, rep).permutation(6) for rep in range(137)])
+        check_stopped_pvalue(res, fixed, s_obs, 137)
         cons = perm_pvalue(x, "block", L=137, seed=2, conservative=True)
-        assert cons.p_value == (res.exceed_count + 1) / 138
+        assert cons.L == res.L and cons.exceed_count == res.exceed_count
+        assert cons.p_value == (res.exceed_count + 1) / (res.L + 1)
         assert cons.p_value > res.p_value
 
     def test_mc_se_of_sampled_and_exhaustive_p(self):
         rng = np.random.default_rng(77)
         x = demean(DataMatrix(rng.standard_normal((18, 6))))
         entry = perm_pvalue(x, "trend", L=90, seed=4).to_dict()
-        p = entry["exceed_count"] / 90
-        assert 0.0 < p < 1.0
-        assert entry["mc_se"] == np.sqrt(p * (1.0 - p) / 90)
+        s_obs, fixed = loop_nulls(x, "trend", [_substream(4, rep).permutation(6) for rep in range(90)])
+        ell = stopped_length(fixed, s_obs, 90)
+        p = entry["exceed_count"] / ell
+        assert entry["L"] == ell and 0.0 < p < 1.0
+        assert entry["mc_se"] == np.sqrt(p * (1.0 - p) / ell)
         # the exhaustive p-value is exact
         assert perm_pvalue(x, "trend", L=1, seed=0, exhaustive=True).to_dict()["mc_se"] == 0.0
 
@@ -392,29 +437,8 @@ class TestPermPvalue:
             assert np.array_equal(reused.null_samples, fresh.null_samples)
 
 
-def _substream(seed, rep):
-    return np.random.default_rng(np.random.SeedSequence((seed, rep)))
-
-
 class TestChunkedNullsMatchPerPermutationLoop:
     """perm_pvalue scores permutations in chunks; the oracle scores them one by one."""
-
-    @staticmethod
-    def _oracle(x, statistic, perms, min_len=2, max_len=10):
-        # the public statistics, one call per permutation
-        basis = block_basis(x.n, min_len, max_len)
-        if statistic == "trace":
-            delta_hat = x.values.T @ x.values / x.m
-            stat = lambda p: trace_statistic(delta_hat[np.ix_(p, p)], basis)
-        else:
-            v1 = first_eigvec(spectral(x))
-            if statistic == "block":
-                stat = lambda p: block_statistic(v1[p], basis)
-            else:
-                stat = lambda p: trend_statistic(v1[p])
-        s_obs = stat(np.arange(x.n))
-        nulls = np.array([stat(np.asarray(p)) for p in perms])
-        return s_obs, nulls, mc_pvalue(nulls, s_obs)[1]
 
     def _check(self, res, s_obs, nulls, exceed):
         # relative to the statistic's scale: a trend slope near 0 is all cancellation
@@ -435,8 +459,16 @@ class TestChunkedNullsMatchPerPermutationLoop:
             monkeypatch.setattr(permutation, "_PERM_CELLS", cells)
         x = demean(DataMatrix(np.random.default_rng(m + n).standard_normal((m, n))))
         res = perm_pvalue(x, statistic, L=L, seed=17)
-        perms = [_substream(17, rep).permutation(n) for rep in range(L)]
-        self._check(res, *self._oracle(x, statistic, perms))
+        s_obs, fixed = loop_nulls(x, statistic, [_substream(17, rep).permutation(n) for rep in range(L)])
+        # the null is the loop's first ell, ending at the ceil(L/20)-th exceedance
+        ell = stopped_length(fixed, s_obs, L)
+        self._check(res, s_obs, fixed[:ell], mc_pvalue(fixed[:ell], s_obs)[1])
+        check_stopped_pvalue(res, fixed, s_obs, L)
+        # one permutation a chunk cuts at the same index
+        monkeypatch.setattr(permutation, "_PERM_CELLS", 1)
+        single = perm_pvalue(x, statistic, L=L, seed=17)
+        assert (single.L, single.exceed_count, single.p_value) == (res.L, res.exceed_count, res.p_value)
+        self._check(single, s_obs, fixed[:ell], res.exceed_count)
 
     @pytest.mark.parametrize("statistic", ["block", "trend", "trace"])
     @pytest.mark.parametrize("n, cells", [(4, None), (7, None), (7, 300)])
@@ -445,8 +477,8 @@ class TestChunkedNullsMatchPerPermutationLoop:
             monkeypatch.setattr(permutation, "_PERM_CELLS", cells)
         x = demean(DataMatrix(np.random.default_rng(90 + n).standard_normal((30, n))))
         res = perm_pvalue(x, statistic, L=1, seed=0, exhaustive=True, max_len=n)
-        perms = list(itertools.permutations(range(n)))
-        self._check(res, *self._oracle(x, statistic, perms, max_len=n))
+        s_obs, nulls = loop_nulls(x, statistic, list(itertools.permutations(range(n))), max_len=n)
+        self._check(res, s_obs, nulls, mc_pvalue(nulls, s_obs)[1])
 
 
 # the seed's last value of one, two, three and four 32-bit words and the
@@ -513,6 +545,29 @@ class TestSubstreamsMatchSeedSequence:
         expected = perm_pvalue(x, "trend", L=50, seed=9).null_samples
         for seed in (np.int64(9), np.uint8(9)):
             assert np.array_equal(perm_pvalue(x, "trend", L=50, seed=seed).null_samples, expected)
+
+
+class TestSequentialStop:
+    @pytest.mark.parametrize("size", [1, 7, 64, 300])
+    def test_cuts_at_the_h_th_exceedance_in_any_chunking(self, size):
+        nulls = np.random.default_rng(83).random(300)
+        ell = stopped_length(nulls, 0.9, 300)  # h = 15 of about 30 exceedances
+        assert ell < 300
+        cut = permutation.sequential_stop(0.9, 300)
+        for start in range(0, 300, size):
+            keep = cut(nulls[start : start + size])
+            if keep is not None:
+                break
+        assert start + keep == ell
+        assert mc_pvalue(nulls[:ell], 0.9) == (15 / ell, 15)
+
+    def test_fewer_than_h_never_stop(self):
+        nulls = np.arange(40.0)  # two of 40 reach 37.5, h = 2: the last draw stops
+        cut = permutation.sequential_stop(37.5, 40)
+        assert [cut(v) for v in nulls[:39]] == [None] * 39
+        assert cut(nulls[39]) == 1
+        cut = permutation.sequential_stop(38.5, 40)
+        assert all(cut(v) is None for v in nulls)
 
 
 class TestMcPvalue:
