@@ -294,11 +294,13 @@ class TestStatisticsMatchCatalog:
             block = lambda p: float(np.sum((vectors @ v1[p]) ** 2))
             oracle = np.array([block(p) for p in perms])
             ell = stopped_length(oracle, block(np.arange(n)), L)
+            assert res.null_samples.shape == (ell,)
             assert np.allclose(res.null_samples, oracle[:ell], rtol=1e-12, atol=0.0)
             res = perm_pvalue(x, "trace", L=L, seed=seed, min_len=min_len, max_len=max_len)
             trace = lambda p: float(np.einsum("hi,ij,hj->", vectors, delta[np.ix_(p, p)], vectors))
             oracle = np.array([trace(p) for p in perms])
             ell = stopped_length(oracle, trace(np.arange(n)), L)
+            assert res.null_samples.shape == (ell,)
             assert np.allclose(res.null_samples, oracle[:ell], rtol=1e-12, atol=0.0)
 
     def test_asymmetric_delta_rejected(self):
