@@ -233,9 +233,7 @@ def eigenratio_stage(
     seed = stage_seed(cfg.seed, stage)
     s_obs = eigenratio(ctx.spectrum)
     cut = sequential_stop(s_obs, cfg.eigen_reps)
-
-    def stop(draw: tuple[float, float, float]) -> bool:
-        return cut(draw[0]) is not None
+    stop = lambda draw: cut(draw[0]) is not None
 
     if null == "wishart":
         extra = {"df": ctx.corr.m_tilde}

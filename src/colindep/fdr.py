@@ -10,42 +10,15 @@ Benjamini-Hochberg step-up rule flags the discoveries.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._cpus import _affinity_cpus
 from .correlation import column_cov
 from .errors import InvalidInput
 from .matrix import DataMatrix
 
 _NULL_MODELS = ("correlation", "gaussian")
-#: arrays of at least this many p-values are worked in one slice per CPU
-_SLICED_VALUES = 1 << 16
-
-
-def _betainc_inplace(a: float, b: float, x: np.ndarray, slices: int) -> None:
-    """``betainc(a, b, x, out=x)`` in ``slices`` contiguous slices, each on its own thread.
-
-    scipy's ufunc releases the interpreter lock and works each value
-    alone, so the slices run in parallel and the result is the one call's,
-    bit for bit.  The calling thread works the first slice.
-    """
-    # scipy.special is imported here, not with the module: it is most of
-    # the package's import time, and only the FDR p-values use it
-    from scipy.special import betainc
-
-    cuts = [x.size * i // slices for i in range(slices + 1)]
-    parts = [x[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    if len(parts) < 2:
-        betainc(a, b, x, out=x)
-        return
-    with ThreadPoolExecutor(len(parts) - 1) as pool:
-        rest = [pool.submit(betainc, a, b, part, out=part) for part in parts[1:]]
-        betainc(a, b, parts[0], out=parts[0])
-        for future in rest:
-            future.result()
 
 
 def corr_null_pvalue(r, m_tilde: float, shift: float = 0.0):
@@ -58,10 +31,12 @@ def corr_null_pvalue(r, m_tilde: float, shift: float = 0.0):
     P(R >= r - shift), so a negative ``shift`` recenters the null to the
     left (as demeaning does to observed correlations).  Scalar or array
     ``r``; ``m_tilde`` must be a finite number above 3.  An array is
-    worked in one new array of its size, which becomes the result; from
-    ``_SLICED_VALUES`` values on, its incomplete beta runs in one slice
-    per CPU, bit for bit the one-call result.
+    worked in one new array of its size, which becomes the result.
     """
+    # scipy.special is imported here, not with the module: it is most of
+    # the package's import time, and only the FDR p-values use it
+    from scipy.special import betainc
+
     if not 3.0 < m_tilde < math.inf:
         raise InvalidInput(f"m_tilde must be a finite number above 3, got {m_tilde}")
     rr = np.asarray(r, dtype=float)
@@ -74,7 +49,7 @@ def corr_null_pvalue(r, m_tilde: float, shift: float = 0.0):
     # 0.5 * I_{1-x^2}(a, 1/2) is P(R >= |x|); below zero p is its complement
     np.multiply(p, p, out=p)
     np.subtract(1.0, p, out=p)
-    _betainc_inplace((m_tilde - 2.0) / 2.0, 0.5, p, _affinity_cpus() if p.size >= _SLICED_VALUES else 1)
+    betainc((m_tilde - 2.0) / 2.0, 0.5, p, out=p)
     p *= 0.5
     np.subtract(1.0, p, out=p, where=lower)
     np.copyto(p, 0.0, where=above)

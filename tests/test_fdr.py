@@ -19,7 +19,6 @@ from colindep import (
     double_standardize,
     scan_column_pairs,
 )
-import colindep.fdr as fdr
 from colindep.fdr import _unrank_pairs
 
 
@@ -100,32 +99,6 @@ class TestCorrNullPvalue:
                 corr_null_pvalue(0.5, m_tilde)
         with pytest.raises(InvalidInput):
             corr_null_pvalue(1.5, 10.0)
-
-
-class TestSlicedBetainc:
-    """The incomplete beta worked in slices on threads is the one call's, bit for bit."""
-
-    @pytest.mark.parametrize("slices", [1, 2, 3])
-    def test_slices_match_one_call(self, slices):
-        x = np.random.default_rng(131).random(1001)  # no multiple of 2 or 3
-        x[:4] = [0.0, 1.0, 0.5, np.nextafter(1.0, 0.0)]
-        want = betainc(8.6, 0.5, x)
-        got = x.copy()
-        fdr._betainc_inplace(8.6, 0.5, got, slices)
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_large_array_is_sliced_per_cpu(self, monkeypatch, cpus):
-        r = np.random.default_rng(132).uniform(-1.0, 1.0, fdr._SLICED_VALUES + 5)
-        monkeypatch.setattr(fdr, "_affinity_cpus", lambda: 1)
-        want = corr_null_pvalue(r, 17.3, shift=-1.0 / 62)
-        calls = []
-        sliced = fdr._betainc_inplace
-        monkeypatch.setattr(fdr, "_affinity_cpus", lambda: cpus)
-        monkeypatch.setattr(fdr, "_betainc_inplace", lambda *args: calls.append(args[3]) or sliced(*args))
-        assert corr_null_pvalue(r, 17.3, shift=-1.0 / 62).tobytes() == want.tobytes()
-        assert corr_null_pvalue(r[:-6], 17.3).size == fdr._SLICED_VALUES - 1
-        assert calls == [cpus, 1]
 
 
 class TestBhFdr:

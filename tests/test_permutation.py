@@ -286,8 +286,8 @@ class TestStatisticsMatchCatalog:
                 oracle = float(np.einsum("hi,ij,hj->", vectors, dp, vectors))
                 assert trace_statistic(dp, basis) == pytest.approx(oracle, rel=1e-12)
 
-            # L = 7 stops at the first permutation that reaches the statistic
-            seed, L = int(rng.integers(1000)), 7
+            # L = 140 stops at the 7th permutation that reaches the statistic
+            seed, L = int(rng.integers(1000)), 140
             perms = [_substream(seed, rep).permutation(n) for rep in range(L)]
             v1 = first_eigvec(spectral(x))
             res = perm_pvalue(x, "block", L=L, seed=seed, min_len=min_len, max_len=max_len)
@@ -471,6 +471,26 @@ class TestChunkedNullsMatchPerPermutationLoop:
         single = perm_pvalue(x, statistic, L=L, seed=17)
         assert (single.L, single.exceed_count, single.p_value) == (res.L, res.exceed_count, res.p_value)
         self._check(single, s_obs, fixed[:ell], res.exceed_count)
+
+    @pytest.mark.parametrize("statistic", ["block", "trend", "trace"])
+    def test_planted_signal_takes_every_permutation(self, monkeypatch, statistic):
+        # six adjacent columns share a weak batch effect: 0 < p < 0.05 for each statistic
+        rng = np.random.default_rng(76)
+        a = rng.standard_normal((300, 20))
+        a[:, 12:18] += 0.3 * rng.standard_normal(300)[:, None]
+        x, L = demean(DataMatrix(a)), 2000
+        res = perm_pvalue(x, statistic, L=L, seed=17)
+        s_obs, fixed = loop_nulls(x, statistic, [_substream(17, rep).permutation(20) for rep in range(L)])
+        fixed_p, fixed_count = mc_pvalue(fixed, s_obs)
+        assert 0 < fixed_count < L // 20 and res.L == L
+        # at least n = 20 cells a permutation: L spans three chunks or more
+        assert L > 2 * (permutation._PERM_CELLS // 20)
+        self._check(res, s_obs, fixed, fixed_count)
+        assert res.p_value == fixed_p < 0.05
+        monkeypatch.setattr(permutation, "_PERM_CELLS", 1)
+        single = perm_pvalue(x, statistic, L=L, seed=17)
+        assert (single.L, single.exceed_count, single.p_value) == (L, fixed_count, fixed_p)
+        self._check(single, s_obs, fixed, fixed_count)
 
     @pytest.mark.parametrize("statistic", ["block", "trend", "trace"])
     @pytest.mark.parametrize("n, cells", [(4, None), (7, None), (7, 300)])
