@@ -28,7 +28,7 @@ import numpy as np
 from ._version import __version__
 from .correlation import CorrelationReport, correlation_report
 from .errors import ColindepError, InvalidInput
-from .fdr import _NULL_MODELS, OutlierReport, scan_column_pairs
+from .fdr import OutlierReport, scan_column_pairs
 from .jsonout import dumps
 from .matrix import (
     MAX_ITER,
@@ -74,8 +74,6 @@ class AuditConfig:
     max_block: int = 10
     tol: float = TOL_STD
     max_iter: int = MAX_ITER
-    estimator: str = field(default="eigen", init=False)
-    fdr_null: str = "correlation"
     bilinear: bool | None = None
     sim_m: int = 2000
     sim_blocks: int = 5
@@ -98,7 +96,6 @@ class AuditConfig:
             (self.min_block <= self.max_block, "min_block must not exceed max_block"),
             (self.tol > 0.0, "tol must be positive"),
             (self.max_iter >= 1, "max_iter must be at least 1"),
-            (self.fdr_null in _NULL_MODELS, f"fdr_null must be one of {_NULL_MODELS}"),
             (self.sim_m >= 2, "sim_m must be at least 2"),
             (1 <= self.sim_blocks <= self.sim_m, "sim_blocks must lie in [1, sim_m]"),
             (self.calib_reps >= 1, "calib_reps must be positive"),
@@ -285,17 +282,13 @@ def bilinear_stage(ctx: Prepared, groups: list[str] | None) -> dict:
 
 
 def fdr_stage(ctx: Prepared, m_tilde: float | None = None, two_sided: bool = False) -> OutlierReport:
-    """FDR scan of the column pairs under ``config.fdr_null``.
+    """FDR scan of the column pairs at level ``config.q``.
 
     ``m_tilde`` defaults to the effective sample size of the input.
     """
-    cfg = ctx.config
     if m_tilde is None:
         m_tilde = ctx.corr.m_tilde
-    gauss = {}
-    if cfg.fdr_null == "gaussian":
-        gauss = {"gauss_mu": ctx.corr.mu_hat, "gauss_sd": float(np.sqrt(ctx.corr.alpha_hat_sq)) or 1e-12}
-    return scan_column_pairs(ctx.z, m_tilde, cfg.q, cfg.fdr_null, two_sided=two_sided, **gauss)
+    return scan_column_pairs(ctx.z, m_tilde, ctx.config.q, two_sided=two_sided)
 
 
 def audit(x: DataMatrix, config: AuditConfig | None = None, groups: list[str] | None = None) -> AuditReport:
@@ -382,7 +375,7 @@ def emit(report: AuditReport, format: str = "json", include_pairs: bool = True) 
         f"standardization: {std.iterations} sweeps, "
         f"max deviation {std.max_deviation:.2e}" + sweep_note,
         f"c2 = {corr.c2:.6f}  alpha_hat = {np.sqrt(corr.alpha_hat_sq):.4f}  "
-        f"m_tilde = {corr.m_tilde:.2f}  (estimator: {corr.estimator})",
+        f"m_tilde = {corr.m_tilde:.2f}",
         "",
         f"{'test':<24}{'statistic':>14}{'p':>10}",
     ]
@@ -396,7 +389,7 @@ def emit(report: AuditReport, format: str = "json", include_pairs: bool = True) 
         thr = "none" if o.threshold_r is None else f"{o.threshold_r:.3f}"
         lines.append("")
         lines.append(
-            f"fdr scan (q={o.q}, null={o.null_model}): "
+            f"fdr scan (q={o.q}): "
             f"{int(o.discoveries.size)} of {o.n_pairs} pairs flagged, threshold r = {thr}"
         )
     for stage, msg in report.errors.items():

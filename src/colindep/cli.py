@@ -90,9 +90,8 @@ def _setting(p: argparse.ArgumentParser, flag: str, field: str, text: str, **kw)
     """
     default = p.get_default(field)
     default = getattr(AuditConfig, field) if default is None else default
-    if "choices" not in kw:
-        kw.setdefault("metavar", flag.lstrip("-").upper().replace("-", "_"))
-    p.add_argument(flag, dest=field, default=argparse.SUPPRESS, help=f"{text} (default: {default})", **kw)
+    p.add_argument(flag, dest=field, default=argparse.SUPPRESS, metavar=flag.lstrip("-").upper().replace("-", "_"),
+                   help=f"{text} (default: {default})", **kw)
 
 
 def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
@@ -299,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fdr-scan", help="FDR scan of pairwise column correlations")
     _add_common(p)
     _setting(p, "--q", "q", "FDR level", type=float)
-    null = _arg_type({"corr": "correlation", "gauss": "gaussian"}.get, bool, "'corr' or 'gauss'")
-    _setting(p, "--null", "fdr_null", "corr or gauss null model", type=null, metavar="{corr,gauss}")
     mtilde = _arg_type(lambda a: None if a == "auto" else float(a), lambda v: v is None or 3.0 < v < math.inf,
                        "'auto' or a number, finite and above 3")
     p.add_argument("--mtilde", type=mtilde, default="auto", help="effective sample size, or 'auto'")
@@ -332,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(p, "--q", "q", "FDR level of the scan", type=float)
     _setting(p, "--min-block", "min_block", "shortest block run", type=int)
     _setting(p, "--max-block", "max_block", "longest block run", type=int)
-    _setting(p, "--fdr-null", "fdr_null", "null model of the FDR scan", choices=["correlation", "gaussian"])
     p.add_argument("--bilinear", action="store_true", default=argparse.SUPPRESS,
                    help="require the two-group test")
     p.add_argument("--groups", type=_group_sizes, default=None)

@@ -108,8 +108,7 @@ class CorrelationReport:
     correlations, (m/(m-1)) * (c2 - 1/(m-1)), whose mean is -1/(m-1);
     ``alpha_corrected_sq`` / ``alpha_simple_sq`` are its noise-corrected
     versions (None when n <= 5).  All of them come from c2.  ``m_tilde``
-    is the effective sample size computed from ``alpha_hat_sq``, the
-    estimator that ``estimator`` names, ``"eigen"``.
+    is the effective sample size computed from ``alpha_hat_sq``.
     """
 
     m: int
@@ -122,7 +121,6 @@ class CorrelationReport:
     alpha_corrected_sq: float | None
     alpha_simple_sq: float | None
     m_tilde: float
-    estimator: str
 
     def to_dict(self) -> dict:
         def _sqrt(v):
@@ -139,7 +137,6 @@ class CorrelationReport:
             "n": self.n,
             "m": self.m,
             "K": self.rank,
-            "estimator": self.estimator,
         }
 
 
@@ -178,5 +175,4 @@ def correlation_report(x: DataMatrix, spectrum: SpectralSummary | None = None) -
         alpha_corrected_sq=alpha_corrected_sq,
         alpha_simple_sq=alpha_simple_sq,
         m_tilde=m_tilde,
-        estimator="eigen",
     )

@@ -3,8 +3,9 @@
 The spread of column correlations says nothing about column dependence
 (row correlation alone can produce any amount of it), but individual
 outliers among them can.  Each pairwise correlation gets a p-value
-under a null calibrated to the effective sample size, and the
-Benjamini-Hochberg step-up rule flags the discoveries.
+under the null density of a correlation built from m_tilde independent
+pairs, m_tilde the effective sample size, and the Benjamini-Hochberg
+step-up rule flags the discoveries.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import numpy as np
 from .correlation import column_cov
 from .errors import InvalidInput
 from .matrix import DataMatrix
-
-_NULL_MODELS = ("correlation", "gaussian")
 
 
 def corr_null_pvalue(r, m_tilde: float, shift: float = 0.0):
@@ -118,7 +117,6 @@ class OutlierReport:
     q: float
     discoveries: np.ndarray = field(repr=False)
     threshold_r: float | None
-    null_model: str
     m_tilde: float
 
     def __post_init__(self):
@@ -149,7 +147,6 @@ class OutlierReport:
     def to_dict(self, include_pairs: bool = True) -> dict:
         out = {
             "q": self.q,
-            "null_model": self.null_model,
             "m_tilde": self.m_tilde,
             "n_pairs": self.n_pairs,
             "n_discoveries": int(self.discoveries.size),
@@ -171,39 +168,19 @@ class OutlierReport:
         return out
 
 
-def scan_column_pairs(
-    x: DataMatrix,
-    m_tilde: float,
-    q: float,
-    null_model: str = "correlation",
-    gauss_mu: float | None = None,
-    gauss_sd: float | None = None,
-    two_sided: bool = False,
-) -> OutlierReport:
+def scan_column_pairs(x: DataMatrix, m_tilde: float, q: float, two_sided: bool = False) -> OutlierReport:
     """FDR scan of all n(n-1)/2 column correlations of a standardized matrix.
 
-    ``null_model="correlation"`` uses the correlation-coefficient null
-    with nu = m_tilde pairs, recentered by the -1/(n-1) shift that
-    demeaning forces on the observed correlations.  ``"gaussian"`` uses
-    N(gauss_mu, gauss_sd^2), the cruder alternative (both parameters
-    required).  ``m_tilde`` must be finite and positive under either
-    null; the gaussian null only reports it.  One-sided upper p-values
-    by default; ``two_sided`` doubles the smaller tail.  Swapping null
-    models changes only the p-values, never the correlations.  The
-    correlations are gathered from the covariance row by row, in the
-    report's row-major pair order; no pair index arrays are built.
+    Each correlation gets its p-value under the correlation-coefficient
+    null with nu = ``m_tilde`` pairs (``corr_null_pvalue``), recentered
+    by the -1/(n-1) shift that demeaning forces on the observed
+    correlations.  One-sided upper p-values by default; ``two_sided``
+    doubles the smaller tail.  The correlations are gathered from the
+    covariance row by row, in the report's row-major pair order; no pair
+    index arrays are built.
     """
     if x.state != "double_std":
         raise InvalidInput("scan_column_pairs expects a doubly standardized matrix")
-    if null_model not in _NULL_MODELS:
-        raise InvalidInput(f"null_model must be one of {_NULL_MODELS}")
-    if not 0.0 < m_tilde < math.inf:
-        raise InvalidInput(f"m_tilde must be a finite positive number, got {m_tilde}")
-    if null_model == "gaussian":
-        if gauss_mu is None or gauss_sd is None:
-            raise InvalidInput("gaussian null requires gauss_mu and gauss_sd")
-        if gauss_sd <= 0:
-            raise InvalidInput("gauss_sd must be positive")
     n = x.n
     # the n-by-n covariance is freed once its upper triangle is gathered
     # row by row, before the p-values are computed in place in one array
@@ -211,15 +188,7 @@ def scan_column_pairs(
     r = np.concatenate([cov[j, j + 1 :] for j in range(n)])
     del cov
     np.clip(r, -1.0, 1.0, out=r)
-    if null_model == "correlation":
-        p = corr_null_pvalue(r, m_tilde, shift=-1.0 / (n - 1))
-    else:
-        from scipy.special import ndtr
-
-        p = r - gauss_mu
-        np.negative(p, out=p)
-        p /= gauss_sd
-        ndtr(p, out=p)
+    p = corr_null_pvalue(r, m_tilde, shift=-1.0 / (n - 1))
     if two_sided:
         np.minimum(p, 1.0 - p, out=p)
         p *= 2.0
@@ -232,6 +201,5 @@ def scan_column_pairs(
         q=q,
         discoveries=discoveries,
         threshold_r=threshold_r,
-        null_model=null_model,
         m_tilde=m_tilde,
     )

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -141,13 +141,12 @@ class StandardizeInfo:
     ``deviations`` holds the deviation the stop test measured after each
     sweep: that of the columns, and of both axes on a sweep where the
     columns are within tolerance.  Its last entry is ``max_deviation``;
-    it is empty when the input was already standardized.  ``order`` is
-    always ``"col_first"``: each sweep standardizes columns, then rows.
+    it is empty when the input was already standardized.  Each sweep
+    standardizes the columns, then the rows.
     """
 
     iterations: int
     max_deviation: float
-    order: str = field(default="col_first", init=False)
     deviations: tuple[float, ...] = ()
 
     def to_dict(self) -> dict:

@@ -182,7 +182,7 @@ def sample_wishart(
     seed: int = 0,
     size: int | None = None,
 ) -> np.ndarray:
-    """Draws of Wishart(df, delta)/df for real df > n-1.
+    """Draws of Wishart(df, delta)/df for finite real df > n-1.
 
     Fractional degrees of freedom are supported through chi-square
     marginals with fractional df in the Bartlett factor.  Returns an
@@ -192,8 +192,8 @@ def sample_wishart(
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise InvalidInput("delta must be square")
     n = d.shape[0]
-    if df <= n - 1:
-        raise InvalidInput(f"df must exceed n-1={n - 1}, got {df}")
+    if not n - 1 < df < math.inf:
+        raise InvalidInput(f"df must be finite and exceed n-1={n - 1}, got {df}")
     try:
         chol = np.linalg.cholesky(d)
     except np.linalg.LinAlgError as exc:
@@ -291,9 +291,11 @@ def _null_draws(
     """
     if reps < 1:
         raise InvalidInput("reps must be positive")
+    if n < 2:
+        raise InvalidInput(f"n must be at least 2, got {n}")
     if model == "wishart":
-        if df is None or df <= 0:
-            raise InvalidInput("wishart model requires df > 0")
+        if df is None or not 0 < df < math.inf:
+            raise InvalidInput(f"wishart model requires a finite df > 0, got {df}")
         return _wishart_draws(df, n, reps, seed, stop)
     if model != "correlated_rows":
         raise InvalidInput("model must be 'wishart' or 'correlated_rows'")

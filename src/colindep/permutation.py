@@ -262,11 +262,6 @@ def sequential_stop(s_obs: float, L: int) -> Callable[[np.ndarray | float], int 
     return cut
 
 
-def _null_rng(seed: int, replicate: int) -> np.random.Generator:
-    # substream (seed, replicate) hashed by SeedSequence itself: the tests' oracle for _substreams
-    return np.random.default_rng(np.random.SeedSequence((seed, replicate)))
-
-
 def _seed_words(seed: int) -> list[int]:
     """The 32-bit words of a nonnegative integer seed, low word first, as SeedSequence reads it.
 
@@ -343,7 +338,7 @@ def _from_words() -> Callable[[np.ndarray], np.random.Generator]:
 
 
 def _substreams(seed: int, reps: int) -> Iterator[np.random.Generator]:
-    """A fresh, independent Generator in the state of ``_null_rng(seed, r)`` for each r < reps, in order."""
+    """For each r < reps, in order, a fresh Generator in the state of ``default_rng(SeedSequence((seed, r)))``."""
     return map(_from_words(), _substream_states(seed, reps))
 
 

@@ -78,7 +78,7 @@ class TestAudit:
         ({"tol": 0.0}, "tol must be positive"),
         ({"tol": -1.0}, "tol must be positive"),
         ({"max_iter": 0}, "max_iter must be at least 1"),
-        ({"fdr_null": "uniform"}, "fdr_null must be one of"),
+        ({"max_block": 1}, "min_block must not exceed max_block"),
         ({"sim_m": 1}, "sim_m must be at least 2"),
         ({"sim_blocks": 0}, "sim_blocks must lie in [1, sim_m]"),
         ({"sim_m": 4, "sim_blocks": 5}, "sim_blocks must lie in [1, sim_m]"),
@@ -104,10 +104,11 @@ class TestAudit:
         assert [(type(v), v) for v in (cfg.seed, cfg.L, cfg.sim_m)] == [(int, 3), (int, 50), (int, 90)]
 
     def test_fixed_settings_reported_not_settable(self):
-        # the audit always uses the eigen estimator; the report still names it
-        assert AuditConfig().to_dict()["estimator"] == "eigen"
-        with pytest.raises(TypeError):
-            AuditConfig(estimator="corrected")
+        # the estimator and the scan's null have one choice each, so neither is a setting
+        for removed in ({"estimator": "eigen"}, {"fdr_null": "correlation"}):
+            assert removed.keys().isdisjoint(AuditConfig().to_dict())
+            with pytest.raises(TypeError):
+                AuditConfig(**removed)
 
     def test_data_dependent_failures_stay_stage_errors(self):
         # a valid min_block longer than the 6 columns fails only the block-based stages
@@ -237,7 +238,7 @@ class TestEmit:
             correlation=CorrelationReport(
                 m=10, n=4, rank=3, c2=0.4, mu_hat=-1 / 3, alpha_hat_sq=0.1,
                 alpha_bar_sq=0.1, alpha_corrected_sq=None, alpha_simple_sq=None,
-                m_tilde=5.0, estimator="eigen",
+                m_tilde=5.0,
             ),
             tests=[], outliers=None, config=AuditConfig(),
         )

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,9 +236,10 @@ class TestCorrelationReport:
         d = rep.to_dict()
         for key in (
             "c2", "mu_hat", "alpha_hat", "alpha_tilde", "alpha_corrected",
-            "m_tilde", "n", "m", "K", "estimator",
+            "m_tilde", "n", "m", "K",
         ):
             assert key in d
+        assert "estimator" not in d
         assert "mean_shift_flag" not in d
         assert d["m"] == 60 and d["n"] == 12
         assert 1.0 <= rep.m_tilde <= 60
@@ -249,16 +251,17 @@ class TestCorrelationReport:
             correlation_report(demean(DataMatrix(rng.standard_normal((20, 6)))))
 
     def test_m_tilde_from_spectral_alpha(self):
-        # the spectral c2 route is the one estimator; the report still names it
+        # the spectral c2 route is the one estimator, so nothing names it
         rng = np.random.default_rng(55)
         z, _ = double_standardize(DataMatrix(rng.standard_normal((80, 14))), max_iter=200)
         rep = correlation_report(z)
         assert rep.m_tilde == effective_sample_size(80, min(1.0, rep.alpha_hat_sq))
-        assert rep.estimator == rep.to_dict()["estimator"] == "eigen"
-        # no estimator to select, and no row pairs to sample
+        # no estimator to select or report, and no row pairs to sample
         for removed in ({"estimator": "corrected"}, {"seed": 1}, {"pair_count": 500}):
             with pytest.raises(TypeError):
                 correlation_report(z, **removed)
+        with pytest.raises(TypeError):
+            replace(rep, estimator="eigen")
 
     def test_row_spread_is_exact(self):
         # the variance of all m(m-1)/2 row correlations, about their mean -1/(m-1),

@@ -73,11 +73,7 @@ class TestWriterMatchesJsonDumps:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [
-            {"two_sided": True},
-            {"null_model": "gaussian", "gauss_mu": -1 / 6, "gauss_sd": 0.2},
-            {"null_model": "gaussian", "gauss_mu": -1 / 6, "gauss_sd": 0.2, "two_sided": True},
-        ],
+        [{"two_sided": True}],
     )
     def test_null_models_and_sides(self, kwargs):
         report = scan(50, 7, seed=2, planted=True, **kwargs)
@@ -119,7 +115,7 @@ class TestWriterMatchesJsonDumps:
 
     def test_no_pairs(self):
         empty = np.array([], dtype=np.int64)
-        report = OutlierReport(1, np.array([]), np.array([]), 0.1, empty, None, "correlation", 5.0)
+        report = OutlierReport(1, np.array([]), np.array([]), 0.1, empty, None, 5.0)
         assert as_json(report) == oracle(report.to_dict(include_pairs=True))
 
     def test_unknown_objects_still_rejected(self):
@@ -178,7 +174,7 @@ def planted(n: int, discoveries: list[int], seed: int = 0) -> OutlierReport:
     rng = np.random.default_rng(seed)
     r, p = rng.uniform(-1, 1, n * (n - 1) // 2), rng.uniform(0, 1, n * (n - 1) // 2)
     found = np.array(discoveries, dtype=np.int64)
-    return OutlierReport(n, r, p, 0.1, found, float(r[found].min()), "correlation", 12.0)
+    return OutlierReport(n, r, p, 0.1, found, float(r[found].min()), 12.0)
 
 
 def pair_list(report: OutlierReport) -> str:
@@ -342,7 +338,7 @@ def scanned(monkeypatch):
 
 
 class TestCliJson:
-    @pytest.mark.parametrize("extra", [[], ["--null", "gauss"], ["--two-sided"], ["--mtilde", "9.5"]])
+    @pytest.mark.parametrize("extra", [[], ["--two-sided"], ["--mtilde", "9.5"]])
     def test_fdr_scan_out_and_stdout(self, seven_columns, scanned, tmp_path, capsys, extra):
         out = tmp_path / "scan.json"
         assert main(["fdr-scan", seven_columns, "--seed", "2", "--out", str(out), *extra]) == 0

@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 import threading
@@ -27,6 +28,7 @@ from colindep import (
     two_sample_w,
     within_block_correlation,
 )
+from colindep.cli import main
 from colindep.matrix import double_standardize, standardize_columns, standardize_rows
 from colindep.normal import _bartlett_factor, _measured_alpha_sq, _psd_eigenvalues, map_replicates
 
@@ -262,13 +264,28 @@ class TestEigenratioNull:
                 make()
             assert str(err.value) == message
 
-    def test_validation(self):
+    def test_validation(self, tmp_path):
         with pytest.raises(InvalidInput):
             eigenratio_null("wishart", reps=5, n=4, seed=0)
         with pytest.raises(InvalidInput):
             eigenratio_null("correlated_rows", reps=5, n=4, seed=0)
         with pytest.raises(InvalidInput):
             eigenratio_null("bootstrap", reps=5, n=4, seed=0, df=10.0)
+        # a df or n the Wishart null cannot use, through each entry point
+        for df in (math.inf, math.nan, 0.0):
+            with pytest.raises(InvalidInput, match="finite df > 0"):
+                eigenratio_null("wishart", reps=5, n=4, seed=0, df=df)
+        for n in (0, 1, -3):
+            with pytest.raises(InvalidInput, match="n must be at least 2"):
+                eigenratio_null("wishart", reps=5, n=n, seed=0, df=3.0)
+        for df in (math.inf, math.nan):
+            with pytest.raises(InvalidInput, match="df must be finite"):
+                sample_wishart(df, np.eye(3))
+        out = tmp_path / "d.csv"
+        for argv in (["--df", "inf"], ["--df", "nan"], ["--df", "5", "--n", "0"], ["--df", "5", "--n", "-3"],
+                     ["--df", "5", "--n", "1"]):
+            assert main(["simulate", "--model", "wishart", "--reps", "2", "--out", str(out), *argv]) == 1
+            assert not out.exists()
 
 
 def _substream(seed, rep):

@@ -510,7 +510,7 @@ BOUNDARY_SEEDS = [0, 1, 5, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, 2**64, 2**96 
 
 
 class TestSubstreamsMatchSeedSequence:
-    """``_substream_states`` and ``_substreams`` against SeedSequence and ``_null_rng``, their oracles."""
+    """``_substream_states`` and ``_substreams`` against SeedSequence and ``_substream``, their oracles."""
 
     @pytest.mark.parametrize("seed", BOUNDARY_SEEDS)
     @pytest.mark.parametrize("reps", [1, 2, 2000])
@@ -523,7 +523,7 @@ class TestSubstreamsMatchSeedSequence:
     @pytest.mark.parametrize("seed", BOUNDARY_SEEDS)
     def test_generator_state(self, seed):
         for r, rng in enumerate(permutation._substreams(seed, 5)):
-            oracle = permutation._null_rng(seed, r)
+            oracle = _substream(seed, r)
             assert rng.bit_generator.state == oracle.bit_generator.state
             # 64-bit, 32-bit and bounded draws continue the same stream
             assert rng.standard_normal(3).tolist() == oracle.standard_normal(3).tolist()
@@ -535,7 +535,7 @@ class TestSubstreamsMatchSeedSequence:
         # every generator held at once and drawn from in turn, as a caller
         # that keeps them may: each continues its own substream
         held = list(permutation._substreams(seed, 6))
-        oracles = [permutation._null_rng(seed, r) for r in range(6)]
+        oracles = [_substream(seed, r) for r in range(6)]
         for _ in range(3):
             for rng, oracle in zip(held[::-1], oracles[::-1]):
                 assert rng.random() == oracle.random()
@@ -546,7 +546,7 @@ class TestSubstreamsMatchSeedSequence:
     def test_permutations(self, n, reps):
         seed = 2**32
         got = np.array([rng.permutation(n) for rng in permutation._substreams(seed, reps)])
-        expected = np.array([permutation._null_rng(seed, r).permutation(n) for r in range(reps)])
+        expected = np.array([_substream(seed, r).permutation(n) for r in range(reps)])
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("seed, message", [
